@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -20,15 +21,14 @@ import (
 	"time"
 
 	"mcmgpu"
-	"mcmgpu/internal/faultinject"
-	"mcmgpu/internal/metricstream"
+	"mcmgpu/internal/cli"
 	"mcmgpu/internal/prof"
 	"mcmgpu/internal/report"
 )
 
 // renderBars draws one bar chart per numeric column of the table, labeled
 // by the first column.
-func renderBars(t *mcmgpu.Table) error {
+func renderBars(w io.Writer, t *mcmgpu.Table) error {
 	drew := false
 	for col := 1; col < len(t.Headers); col++ {
 		numeric := len(t.Rows) > 0
@@ -46,53 +46,47 @@ func renderBars(t *mcmgpu.Table) error {
 			continue
 		}
 		b.Title = fmt.Sprintf("%s — %s", t.Title, t.Headers[col])
-		if err := b.WriteText(os.Stdout); err != nil {
+		if err := b.WriteText(w); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		drew = true
 	}
 	if !drew {
 		// Nothing numeric to draw; fall back to the table.
-		return t.WriteText(os.Stdout)
+		return t.WriteText(w)
 	}
 	return nil
 }
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is main with an exit code instead of os.Exit calls, so every defer —
 // the profile stopper and the gzip'd -metrics writer in particular — gets
 // to Close, and a Close failure (the way a full disk reports a truncated
 // stream) fails the run loudly.
-func run() (code int) {
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp       = flag.String("exp", "headline", "experiment id (table1..4, analytic, fig2..fig17, headline, tension, all)")
-		scale     = flag.Float64("scale", 1.0, "workload scale factor")
-		max       = flag.Int("max", 0, "limit workloads per category (0 = all)")
-		jobs      = flag.Int("j", 0, "parallel simulation jobs (0 = GOMAXPROCS, 1 = sequential)")
-		nocache   = flag.Bool("nocache", false, "disable the memoized run cache")
-		csv       = flag.Bool("csv", false, "emit CSV instead of text")
-		bars      = flag.Bool("bars", false, "render numeric columns as ASCII bar charts")
-		list      = flag.Bool("list", false, "list experiment ids")
-		timeout   = flag.Duration("timeout", 0, "wall-clock budget for the whole invocation (0 = none)")
-		maxEvents = flag.Uint64("max-events", 0, "per-simulation event budget (0 = none)")
-		auditOn   = flag.Bool("audit", false, "check simulation invariants (conservation laws) during every job; MCMGPU_AUDIT=1 forces this on")
-		keepGoing = flag.Bool("keep-going", false, "render failed cells as ERR instead of aborting; exit 1 at the end if any failed")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write an allocation profile to this file on exit")
-		metricsF  = flag.String("metrics", "", "stream per-interval time-series samples of every simulation to this file (NDJSON, or CSV when the path ends in .csv; a .gz suffix gzips either)")
-		metricsIv = flag.Uint64("metrics-interval", 0, "sampling interval in cycles for -metrics (0 = default)")
-		storeDir  = flag.String("store", "", "durable run store directory: serve warm cells from disk and persist fresh ones")
+		exp     = fs.String("exp", "headline", "experiment id (table1..4, analytic, fig2..fig17, headline, tension, all)")
+		max     = fs.Int("max", 0, "limit workloads per category (0 = all)")
+		jobs    = fs.Int("j", 0, "parallel simulation jobs (0 = GOMAXPROCS, 1 = sequential)")
+		nocache = fs.Bool("nocache", false, "disable the memoized run cache")
+		csv     = fs.Bool("csv", false, "emit CSV instead of text")
+		bars    = fs.Bool("bars", false, "render numeric columns as ASCII bar charts")
+		list    = fs.Bool("list", false, "list experiment ids")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf = fs.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
-	flag.Parse()
+	rf := cli.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return cli.ParseExit(err)
+	}
 
 	fail := func(err error) int {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
+		fmt.Fprintln(stderr, "experiments:", err)
 		return 1
-	}
-	warnf := func(format string, args ...interface{}) {
-		fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...)
 	}
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)
@@ -101,7 +95,7 @@ func run() (code int) {
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
+			fmt.Fprintln(stderr, "experiments:", err)
 			code = 1
 		}
 	}()
@@ -115,57 +109,33 @@ func run() (code int) {
 
 	if *list {
 		for _, id := range ids {
-			fmt.Println(id)
+			fmt.Fprintln(stdout, id)
 		}
 		return 0
 	}
 
-	fault, err := faultinject.FromEnv()
+	r, closeRun, err := rf.Open("experiments", stderr)
 	if err != nil {
 		return fail(err)
 	}
+	defer func() {
+		if err := closeRun(); err != nil {
+			fmt.Fprintln(stderr, "experiments:", err)
+			code = 1
+		}
+	}()
 	opt := mcmgpu.Options{
-		Scale:          *scale,
+		Scale:          rf.Scale,
 		MaxPerCategory: *max,
 		Workers:        *jobs,
 		NoCache:        *nocache,
-		MaxEvents:      *maxEvents,
-		Audit:          *auditOn,
-		KeepGoing:      *keepGoing,
-		Fault:          fault,
-	}
-	if *timeout > 0 {
-		opt.Deadline = time.Now().Add(*timeout)
-	}
-	if *storeDir != "" {
-		// An unopenable store degrades to plain compute, never a failure.
-		store, err := mcmgpu.OpenRunStore(*storeDir, warnf)
-		if err != nil {
-			warnf("store unavailable, computing without it: %v", err)
-		} else {
-			opt.Store = store
-			defer func() {
-				fmt.Fprintf(os.Stderr, "experiments: store: %v\n", store.Stats())
-			}()
-		}
-	}
-	if *metricsF != "" {
-		f, mcsv, err := metricstream.CreateOutput(*metricsF)
-		if err != nil {
-			return fail(err)
-		}
-		defer func() {
-			// Close reports what Write buffered: a full disk surfaces here.
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				code = 1
-			}
-		}()
-		opt.Metrics = &mcmgpu.MetricsOptions{
-			Interval: *metricsIv,
-			W:        f,
-			CSV:      mcsv,
-		}
+		MaxEvents:      r.Limits.MaxEvents,
+		Deadline:       r.Limits.WallDeadline,
+		Audit:          r.Limits.Audit,
+		KeepGoing:      rf.KeepGoing,
+		Fault:          r.Fault,
+		Metrics:        r.Metrics,
+		Store:          r.Store,
 	}
 	// Warnings go to stderr (deduplicated) so the table output on stdout
 	// stays byte-identical across -j settings and reruns of cached cells.
@@ -180,7 +150,7 @@ func run() (code int) {
 		if strings.HasPrefix(msg, "cell failed") {
 			failedCells = true
 		}
-		fmt.Fprintln(os.Stderr, "experiments: warning:", msg)
+		fmt.Fprintln(stderr, "experiments: warning:", msg)
 	}
 
 	var run []string
@@ -188,7 +158,7 @@ func run() (code int) {
 		run = ids
 	} else {
 		if _, ok := drivers[*exp]; !ok {
-			fmt.Fprintf(os.Stderr, "experiments: unknown id %q (have %v)\n", *exp, ids)
+			fmt.Fprintf(stderr, "experiments: unknown id %q (have %v)\n", *exp, ids)
 			return 1
 		}
 		run = []string{*exp}
@@ -199,38 +169,38 @@ func run() (code int) {
 		start := time.Now()
 		t, err := drivers[id](opt)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", id, err)
-			if *keepGoing {
+			fmt.Fprintf(stderr, "experiments: %s: %v\n", id, err)
+			if rf.KeepGoing {
 				failedExps++
 				continue
 			}
 			return 1
 		}
 		if *csv {
-			if err := t.WriteCSV(os.Stdout); err != nil {
+			if err := t.WriteCSV(stdout); err != nil {
 				return fail(err)
 			}
 		} else if *bars {
-			if err := renderBars(t); err != nil {
+			if err := renderBars(stdout, t); err != nil {
 				return fail(err)
 			}
-			fmt.Printf("[%s in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(stdout, "[%s in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
 		} else {
-			if err := t.WriteText(os.Stdout); err != nil {
+			if err := t.WriteText(stdout); err != nil {
 				return fail(err)
 			}
-			fmt.Printf("[%s in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(stdout, "[%s in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
 		}
 	}
 	if !*nocache {
 		// Stats go to stderr so table output stays byte-identical across
 		// -j settings and redirects.
 		s := mcmgpu.RunCacheStats()
-		fmt.Fprintf(os.Stderr, "run cache: %d simulations, %d hits, %d entries\n",
+		fmt.Fprintf(stderr, "run cache: %d simulations, %d hits, %d entries\n",
 			s.Simulations(), s.Hits, s.Entries)
 	}
 	if failedCells || failedExps > 0 {
-		fmt.Fprintf(os.Stderr, "experiments: completed with failures (%d experiment(s) aborted)\n", failedExps)
+		fmt.Fprintf(stderr, "experiments: completed with failures (%d experiment(s) aborted)\n", failedExps)
 		return 1
 	}
 	return code

@@ -79,7 +79,6 @@ type aggMode int8
 const (
 	modeReservoir aggMode = iota // deterministic sample, the default
 	modeExact                    // keep every value, exact quantiles
-	modeP2                       // P² estimators: sequential only, no spill
 )
 
 // groupAgg is the per-group aggregate state. Every merge operation is
@@ -87,16 +86,15 @@ const (
 // integer sums), which is what makes output byte-identical across worker
 // counts and spill partitionings.
 type groupAgg struct {
-	n          uint64
-	min, max   float64
-	sum        stats.ExactSum // of the metric value
-	sumBusy    stats.ExactSum
-	units      uint64
-	hits       uint64
-	misses     uint64
-	rsv        *stats.Reservoir
-	exact      []float64
-	p95e, p99e *stats.P2
+	n        uint64
+	min, max float64
+	sum      stats.ExactSum // of the metric value
+	sumBusy  stats.ExactSum
+	units    uint64
+	hits     uint64
+	misses   uint64
+	rsv      *stats.Reservoir
+	exact    []float64
 }
 
 // observation is one flat row's contribution.
@@ -115,13 +113,9 @@ func (g *groupAgg) add(mode aggMode, k int, o observation) int {
 	grew := 0
 	if g.n == 0 {
 		g.min, g.max = o.v, o.v
-		switch mode {
-		case modeReservoir:
+		if mode == modeReservoir {
 			g.rsv = stats.NewReservoir(k)
 			grew += 64
-		case modeP2:
-			g.p95e, g.p99e = stats.NewP2(0.95), stats.NewP2(0.99)
-			grew += 256
 		}
 	} else {
 		if o.v < g.min {
@@ -146,15 +140,11 @@ func (g *groupAgg) add(mode aggMode, k int, o observation) int {
 	case modeExact:
 		g.exact = append(g.exact, o.v)
 		grew += 8
-	case modeP2:
-		g.p95e.Add(o.v)
-		g.p99e.Add(o.v)
 	}
 	return grew
 }
 
-// merge folds o into g. P² state cannot merge (it is order-dependent);
-// callers guarantee mode != modeP2 on any merging path.
+// merge folds o into g.
 func (g *groupAgg) merge(mode aggMode, o *groupAgg) {
 	if o.n == 0 {
 		return
@@ -190,8 +180,6 @@ func (g *groupAgg) merge(mode aggMode, o *groupAgg) {
 // quantiles returns (p95, p99) plus the scratch slice for reuse.
 func (g *groupAgg) quantiles(mode aggMode, scratch []float64) (float64, float64, []float64) {
 	switch mode {
-	case modeP2:
-		return g.p95e.Value(), g.p99e.Value(), scratch
 	case modeExact:
 		sort.Float64s(g.exact)
 		return stats.Quantile(g.exact, 0.95), stats.Quantile(g.exact, 0.99), scratch

@@ -63,9 +63,8 @@ func parseFlags(args []string) (*options, error) {
 	fs := flag.NewFlagSet("mcmstat", flag.ContinueOnError)
 	group := fs.String("group", "kind", "comma-separated group-by dimensions: any of config,workload,kernel,gpm,kind,name")
 	records := fs.String("records", "sample", "record types to aggregate: sample, kernel, or both")
-	q := fs.String("q", "sample", "quantile estimator: sample (deterministic reservoir) or p2 (streaming P², sequential only)")
 	exact := fs.Bool("exact", false, "keep every value for exact quantiles (more memory, may spill)")
-	k := fs.Int("k", 4096, "reservoir size per group for -q sample")
+	k := fs.Int("k", 4096, "reservoir size per group (ignored with -exact)")
 	mem := fs.String("mem", "256m", "memory bound for group tables before spilling to disk (suffix k/m/g)")
 	tmp := fs.String("tmp", "", "directory for spill files (default: system temp)")
 	j := fs.Int("j", runtime.GOMAXPROCS(0), "parallel scan workers (output is identical for any value)")
@@ -112,17 +111,8 @@ func parseFlags(args []string) (*options, error) {
 		return nil, fmt.Errorf("bad -records %q (want sample, kernel, or both)", *records)
 	}
 
-	switch {
-	case *exact && *q == "p2":
-		return nil, fmt.Errorf("-exact and -q p2 are mutually exclusive")
-	case *exact:
+	if *exact {
 		opts.mode = modeExact
-	case *q == "p2":
-		opts.mode = modeP2
-	case *q == "sample":
-		opts.mode = modeReservoir
-	default:
-		return nil, fmt.Errorf("bad -q %q (want sample or p2)", *q)
 	}
 	if opts.k < 16 {
 		return nil, fmt.Errorf("-k %d too small (min 16)", opts.k)
@@ -134,9 +124,6 @@ func parseFlags(args []string) (*options, error) {
 	}
 	if opts.j < 1 {
 		opts.j = 1
-	}
-	if opts.mode == modeP2 {
-		opts.j = 1 // P² is order-dependent: strictly sequential
 	}
 
 	switch *format {
@@ -322,21 +309,15 @@ func run(args []string, stdout io.Writer) error {
 // runFast is the production path: chunk-parallel scan, open-addressing
 // aggregation, external sort-merge on overflow.
 func runFast(opts *options, inputs []*input, out *bufio.Writer) (int64, int, error) {
-	var sp *spiller
-	if opts.mode != modeP2 {
-		sp = &spiller{sorter: extsort.New(opts.tmp, opts.mem/2, spillCompare)}
-		defer sp.sorter.Close()
-	}
+	sp := &spiller{sorter: extsort.New(opts.tmp, opts.mem/2, spillCompare)}
+	defer sp.sorter.Close()
 
 	// One scanning context per worker plus one for sequential inputs; the
-	// table half of -mem splits across them. P² state is order-dependent
-	// and cannot merge (groupAgg.merge has no P² case), so under -q p2
-	// every input — even a chunkable regular file — scans through the
-	// single sequential context, in command-line order.
+	// table half of -mem splits across them.
 	var chunks []chunk
 	var seqIns []*input
 	for _, in := range inputs {
-		if in.seq || opts.mode == modeP2 {
+		if in.seq {
 			seqIns = append(seqIns, in)
 			continue
 		}
@@ -415,7 +396,7 @@ func runFast(opts *options, inputs []*input, out *bufio.Writer) (int64, int, err
 		rows += c.rows
 	}
 
-	if sp != nil && sp.used {
+	if sp.used {
 		// Out-of-core: every table joins the external merge.
 		for _, c := range ctxs {
 			var err error

@@ -246,38 +246,11 @@ func TestRecordsFilter(t *testing.T) {
 	}
 }
 
-// TestP2Mode: the sequential P² estimator runs, is deterministic, and its
-// estimates sit inside [min, max].
-func TestP2Mode(t *testing.T) {
-	dir := t.TempDir()
-	nd := filepath.Join(dir, "s.ndjson")
-	genStream(t, nd, false, 3, 100)
-	a := runStat(t, "-group", "kind", "-q", "p2", nd)
-	b := runStat(t, "-group", "kind", "-q", "p2", nd)
-	mustEqual(t, a, b, "p2 determinism")
-	lines := strings.Split(strings.TrimSpace(string(a)), "\n")
-	if len(lines) < 2 {
-		t.Fatalf("no p2 output rows:\n%s", a)
-	}
-	for _, line := range lines[1:] {
-		f := strings.Split(line, ",")
-		// kind,metric,n,min,mean,max,p95,p99,...
-		var min, max, p95, p99 float64
-		fmt.Sscanf(f[3], "%g", &min)
-		fmt.Sscanf(f[5], "%g", &max)
-		fmt.Sscanf(f[6], "%g", &p95)
-		fmt.Sscanf(f[7], "%g", &p99)
-		if p95 < min || p95 > max || p99 < min || p99 > max {
-			t.Fatalf("p2 quantiles outside [min,max]: %s", line)
-		}
-	}
-}
-
-// TestP2MixedInputs: -q p2 over a mix of chunkable (plain regular file)
-// and sequential (gzip) inputs must route everything through one
-// sequential context — P² state cannot merge, so a split scan would
-// silently drop one side's estimator state while still counting its rows.
-func TestP2MixedInputs(t *testing.T) {
+// TestMixedChunkedAndSequentialInputs: a chunkable (plain regular file)
+// input scanned by the workers and a sequential (gzip) input scanned by
+// the sequential context merge to exactly what the naive reference
+// computes.
+func TestMixedChunkedAndSequentialInputs(t *testing.T) {
 	dir := t.TempDir()
 	a := filepath.Join(dir, "a.ndjson")
 	b := filepath.Join(dir, "b.ndjson")
@@ -302,9 +275,9 @@ func TestP2MixedInputs(t *testing.T) {
 	if err := gf.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fast := runStat(t, "-group", "kind", "-q", "p2", a, bgz)
-	naive := runStat(t, "-group", "kind", "-q", "p2", "-naive", a, bgz)
-	mustEqual(t, fast, naive, "p2 mixed plain+gzip vs naive")
+	fast := runStat(t, "-group", "kind", a, bgz)
+	naive := runStat(t, "-group", "kind", "-naive", a, bgz)
+	mustEqual(t, fast, naive, "mixed plain+gzip vs naive")
 }
 
 // TestLeadingBlankLineSniff: format auto-detection must look at the first
@@ -345,18 +318,6 @@ func TestLeadingBlankLineSniff(t *testing.T) {
 	mustEqual(t, fast, zipped, "leading-blank-line plain vs gzip")
 }
 
-// TestP2CannotSpill: exceeding -mem under -q p2 is an error, not silent
-// wrong output.
-func TestP2CannotSpill(t *testing.T) {
-	dir := t.TempDir()
-	nd := filepath.Join(dir, "s.ndjson")
-	genStream(t, nd, false, 6, 200)
-	err := run([]string{"-group", "config,workload,kernel,gpm,kind,name", "-q", "p2", "-mem", "64k", nd}, &bytes.Buffer{})
-	if err == nil || !strings.Contains(err.Error(), "cannot spill") {
-		t.Fatalf("expected cannot-spill error, got %v", err)
-	}
-}
-
 // TestOutputFile: -o writes the same bytes as stdout, and .gz compresses.
 func TestOutputFile(t *testing.T) {
 	dir := t.TempDir()
@@ -390,8 +351,6 @@ func TestBadInputs(t *testing.T) {
 	cases := [][]string{
 		{"-group", "bogus", bad},
 		{"-records", "nope", bad},
-		{"-q", "nope", bad},
-		{"-exact", "-q", "p2", bad},
 		{"-mem", "x", bad},
 		{filepath.Join(dir, "missing.ndjson")},
 		{bad},

@@ -61,8 +61,7 @@ func (f recordFilter) keep(t metricstream.RecordType) bool {
 	return true
 }
 
-// spiller serializes table flushes into one shared external sorter. A nil
-// spiller means spilling is forbidden (-q p2).
+// spiller serializes table flushes into one shared external sorter.
 type spiller struct {
 	mu     sync.Mutex
 	sorter *extsort.Sorter
@@ -81,9 +80,6 @@ func spillCompare(a, b []byte) int {
 // flush serializes every table entry into the shared sorter and resets the
 // table.
 func (sp *spiller) flush(t *table, scratch []byte) ([]byte, error) {
-	if sp == nil {
-		return scratch, fmt.Errorf("mcmstat: group table exceeds -mem and -q p2 cannot spill (P² state is order-dependent); raise -mem or use -q sample")
-	}
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	sp.used = true

@@ -58,49 +58,44 @@ import (
 	"time"
 
 	"mcmgpu/internal/analytic"
+	"mcmgpu/internal/cli"
 	"mcmgpu/internal/config"
 	"mcmgpu/internal/core"
-	"mcmgpu/internal/faultinject"
-	"mcmgpu/internal/metricstream"
 	"mcmgpu/internal/report"
 	"mcmgpu/internal/runner"
-	"mcmgpu/internal/runstore"
 	"mcmgpu/internal/runstore/client"
 	"mcmgpu/internal/stats"
 	"mcmgpu/internal/workload"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is main with an exit code instead of os.Exit calls, so every defer —
 // the gzip'd -metrics writer and the -csv file in particular — gets to
 // Close, and a Close failure (the way a full disk reports a truncated
 // stream) fails the run loudly.
-func run() (code int) {
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		links     = flag.String("links", "384,768,1536,3072", "comma-separated inter-GPM link bandwidths (GB/s)")
-		l15s      = flag.String("l15", "0,8,16", "comma-separated total L1.5 capacities (MB, 0 = none)")
-		wl        = flag.String("workloads", "all", "workload selection (all, m-intensive, c-intensive, limited)")
-		scale     = flag.Float64("scale", 1.0, "workload scale factor")
-		opts      = flag.Bool("optimized", true, "apply distributed scheduling + first touch at every grid point")
-		tiled     = flag.Bool("tiled", false, "apply tiled 2-D scheduling + region-aware placement at every grid point instead of -optimized (the dense-workload pairing; see -workloads dense)")
-		jobs      = flag.Int("j", 0, "parallel simulation jobs (0 = GOMAXPROCS, 1 = sequential)")
-		nocache   = flag.Bool("nocache", false, "disable the memoized run and estimate caches")
-		csvOut    = flag.String("csv", "", "write CSV to this file instead of stdout")
-		timeout   = flag.Duration("timeout", 0, "wall-clock budget for the whole sweep (0 = none)")
-		maxEvents = flag.Uint64("max-events", 0, "per-simulation event budget (0 = none)")
-		auditOn   = flag.Bool("audit", false, "check simulation invariants (conservation laws) during every job; MCMGPU_AUDIT=1 forces this on")
-		keepGoing = flag.Bool("keep-going", false, "render failed grid cells as ERR instead of aborting; exit 1 at the end if any failed")
-		metricsF  = flag.String("metrics", "", "stream per-interval time-series samples of every simulation to this file (NDJSON, or CSV when the path ends in .csv; a .gz suffix gzips either)")
-		metricsIv = flag.Uint64("metrics-interval", 0, "sampling interval in cycles for -metrics (0 = default)")
-		anOnly    = flag.Bool("analytic-only", false, "phase 1 only: score the whole grid analytically, run no simulations")
-		refine    = flag.Int("refine", 0, "number of cells to re-simulate in phase 2 (0 = use -phase2-frac); frontier cells are simulated first")
-		p2Frac    = flag.Float64("phase2-frac", 0.25, "fraction of grid cells to re-simulate in phase 2 (1 = simulate everything)")
-		benchJSON = flag.String("bench-json", "", "write phase throughput numbers (cells/sec analytic vs cycle-level) to this JSON file")
-		storeDir  = flag.String("store", "", "durable run store directory: serve warm cells from disk and persist fresh ones")
-		server    = flag.String("server", "", "comma-separated mcmserve URLs: run phase 2 remotely; more than one URL forms a fault-tolerant pool")
+		links     = fs.String("links", "384,768,1536,3072", "comma-separated inter-GPM link bandwidths (GB/s)")
+		l15s      = fs.String("l15", "0,8,16", "comma-separated total L1.5 capacities (MB, 0 = none)")
+		wl        = fs.String("workloads", "all", "workload selection: all, m-intensive, c-intensive, limited, dense, or one workload name")
+		opts      = fs.Bool("optimized", true, "apply distributed scheduling + first touch at every grid point")
+		tiled     = fs.Bool("tiled", false, "apply tiled 2-D scheduling + region-aware placement at every grid point instead of -optimized (the dense-workload pairing; see -workloads dense)")
+		jobs      = fs.Int("j", 0, "parallel simulation jobs (0 = GOMAXPROCS, 1 = sequential)")
+		nocache   = fs.Bool("nocache", false, "disable the memoized run and estimate caches")
+		csvOut    = fs.String("csv", "", "write CSV to this file instead of stdout")
+		anOnly    = fs.Bool("analytic-only", false, "phase 1 only: score the whole grid analytically, run no simulations")
+		refine    = fs.Int("refine", 0, "number of cells to re-simulate in phase 2 (0 = use -phase2-frac); frontier cells are simulated first")
+		p2Frac    = fs.Float64("phase2-frac", 0.25, "fraction of grid cells to re-simulate in phase 2 (1 = simulate everything)")
+		benchJSON = fs.String("bench-json", "", "write phase throughput numbers (cells/sec analytic vs cycle-level) to this JSON file")
+		server    = fs.String("server", "", "comma-separated mcmserve URLs: run phase 2 remotely; more than one URL forms a fault-tolerant pool")
 	)
-	flag.Parse()
+	rf := cli.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return cli.ParseExit(err)
+	}
 
 	// One context covers the whole sweep: SIGINT/SIGTERM cancels in-flight
 	// simulations (local or remote) AND any retry-backoff sleep the client
@@ -109,11 +104,11 @@ func run() (code int) {
 	defer stopSignals()
 
 	fail := func(err error) int {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
+		fmt.Fprintln(stderr, "sweep:", err)
 		return 1
 	}
 	warnf := func(format string, args ...interface{}) {
-		fmt.Fprintf(os.Stderr, "sweep: "+format+"\n", args...)
+		fmt.Fprintf(stderr, "sweep: "+format+"\n", args...)
 	}
 
 	linkVals, err := parseFloats(*links)
@@ -124,7 +119,7 @@ func run() (code int) {
 	if err != nil {
 		return fail(err)
 	}
-	specs, err := selectWorkloads(*wl)
+	specs, err := workload.Select(*wl)
 	if err != nil {
 		return fail(err)
 	}
@@ -138,74 +133,41 @@ func run() (code int) {
 	cfgs := buildGrid(l15Vals, linkVals, *opts, *tiled)
 	base := config.BaselineMCM()
 
-	fault, err := faultinject.FromEnv()
+	// The remote server cannot reproduce local-only run shaping, so refuse
+	// combinations that would silently change results.
+	if *server != "" && rf.Metrics != "" {
+		return fail(errors.New("-server does not support -metrics (the service does not sample); drop one"))
+	}
+	r, closeRun, err := rf.Open("sweep", stderr)
 	if err != nil {
 		return fail(err)
 	}
-	if *server != "" {
-		// The remote server cannot reproduce local-only run shaping, so
-		// refuse combinations that would silently change results.
-		if *metricsF != "" {
-			return fail(errors.New("-server does not support -metrics (the service does not sample); drop one"))
+	defer func() {
+		if err := closeRun(); err != nil {
+			fmt.Fprintln(stderr, "sweep:", err)
+			code = 1
 		}
-		if fault.Enabled() && !fault.IsStore() {
-			return fail(errors.New("-server cannot apply a local simulation fault plan; unset MCMGPU_FAULT or run locally"))
-		}
+	}()
+	if *server != "" && r.Fault.Enabled() && !r.Fault.IsStore() {
+		return fail(errors.New("-server cannot apply a local simulation fault plan; unset MCMGPU_FAULT or run locally"))
 	}
-	limits := core.RunOptions{Ctx: ctx, MaxEvents: *maxEvents, Audit: *auditOn}
-	if *timeout > 0 {
-		limits.WallDeadline = time.Now().Add(*timeout)
-	}
-	r := &runner.Runner{
-		Workers:  *jobs,
-		FailFast: !*keepGoing,
-		Limits:   limits,
-		Fault:    fault,
-	}
+	r.Workers = *jobs
+	r.Limits.Ctx = ctx
 	if !*nocache {
 		r.Cache = runner.Shared()
 		r.EstCache = runner.SharedEstimates()
-	}
-	if *storeDir != "" {
-		// An unopenable store degrades to plain compute, never a failure.
-		store, err := runstore.Open(*storeDir, runstore.WithLogf(warnf), runstore.WithFault(fault))
-		if err != nil {
-			warnf("store unavailable, computing without it: %v", err)
-		} else {
-			r.Store = store
-			defer func() {
-				fmt.Fprintf(os.Stderr, "sweep: store: %v\n", store.Stats())
-			}()
-		}
-	}
-	if *metricsF != "" {
-		f, csv, err := metricstream.CreateOutput(*metricsF)
-		if err != nil {
-			return fail(err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
-				code = 1
-			}
-		}()
-		r.Metrics = &runner.MetricsOptions{
-			Interval: *metricsIv,
-			W:        f,
-			CSV:      csv,
-		}
 	}
 
 	// Phase 1: score the whole grid analytically. The baseline suite rides
 	// in the same estimate list so predicted speedups and predicted cell
 	// scores come from one pass.
 	p1Start := time.Now()
-	scores, estSpeedups, err := scoreGrid(r, base, cfgs, specs, *scale)
+	scores, estSpeedups, err := scoreGrid(r, base, cfgs, specs, rf.Scale)
 	if err != nil {
 		return fail(err)
 	}
 	p1Dur := time.Since(p1Start)
-	fmt.Fprintf(os.Stderr, "sweep: phase 1 scored %d cells analytically in %v\n",
+	fmt.Fprintf(stderr, "sweep: phase 1 scored %d cells analytically in %v\n",
 		len(cfgs), p1Dur.Round(time.Microsecond))
 
 	// Select phase 2: the analytic Pareto frontier over (link cost,
@@ -233,7 +195,7 @@ func run() (code int) {
 		var jobList []runner.Job
 		addSuite := func(cfg *config.Config) {
 			for _, s := range specs {
-				jobList = append(jobList, runner.Job{Config: cfg, Spec: s, Scale: *scale})
+				jobList = append(jobList, runner.Job{Config: cfg, Spec: s, Scale: rf.Scale})
 			}
 		}
 		addSuite(base)
@@ -246,19 +208,19 @@ func run() (code int) {
 			err     error
 		)
 		if *server != "" {
-			results, err = runRemote(ctx, *server, jobList, *maxEvents, *auditOn, warnf)
+			results, err = runRemote(ctx, *server, jobList, rf.MaxEvents, rf.Audit, warnf)
 		} else {
 			results, err = r.Run(jobList)
 		}
 		p2Dur = time.Since(p2Start)
 		if err != nil {
 			var jerrs runner.JobErrors
-			if !*keepGoing || !errors.As(err, &jerrs) {
+			if !rf.KeepGoing || !errors.As(err, &jerrs) {
 				return fail(err)
 			}
 			failedCells = true
 			for _, je := range jerrs {
-				fmt.Fprintln(os.Stderr, "sweep: warning: cell failed:", je)
+				fmt.Fprintln(stderr, "sweep: warning: cell failed:", je)
 			}
 		}
 		n := len(specs)
@@ -277,10 +239,10 @@ func run() (code int) {
 			simSpeedups[ci] = sp
 		}
 	}
-	fmt.Fprintf(os.Stderr, "sweep: phase 2 simulated %d/%d cells (%.1f%%)\n",
+	fmt.Fprintf(stderr, "sweep: phase 2 simulated %d/%d cells (%.1f%%)\n",
 		len(simulate), len(cfgs), 100*float64(len(simulate))/float64(len(cfgs)))
 
-	out := os.Stdout
+	out := stdout
 	if *csvOut != "" {
 		f, err := os.Create(*csvOut)
 		if err != nil {
@@ -289,7 +251,7 @@ func run() (code int) {
 		defer func() {
 			// Close reports what Write buffered: a full disk surfaces here.
 			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
+				fmt.Fprintln(stderr, "sweep:", err)
 				code = 1
 			}
 		}()
@@ -312,7 +274,7 @@ func run() (code int) {
 		}
 	}
 	if failedCells {
-		fmt.Fprintln(os.Stderr, "sweep: completed with failed cells")
+		fmt.Fprintln(stderr, "sweep: completed with failed cells")
 		return 1
 	}
 	return code
@@ -615,26 +577,6 @@ func writeBench(path string, b benchReport) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func selectWorkloads(sel string) ([]*workload.Spec, error) {
-	switch strings.ToLower(sel) {
-	case "all":
-		return workload.Suite(), nil
-	case "m-intensive":
-		return workload.MIntensive(), nil
-	case "c-intensive":
-		return workload.CIntensive(), nil
-	case "limited":
-		return workload.Limited(), nil
-	case "dense":
-		return workload.Dense(), nil
-	}
-	s, err := workload.ByName(sel)
-	if err != nil {
-		return nil, err
-	}
-	return []*workload.Spec{s}, nil
 }
 
 func parseFloats(s string) ([]float64, error) {

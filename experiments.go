@@ -72,7 +72,7 @@ type Options struct {
 	// and fresh results persisted, so identical work is simulated at most
 	// once across processes. Store failures degrade to compute — an
 	// unreadable entry is recomputed, never an error. CLIs arm it from
-	// -store DIR; see OpenRunStore.
+	// -store DIR.
 	Store *RunStore
 }
 

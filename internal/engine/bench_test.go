@@ -5,7 +5,10 @@ package engine
 // allocations. The end-to-end kernel benchmark lives at the repo root
 // (BenchmarkSimulatorThroughput); these isolate the engine's own costs.
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // nopEv is the cheapest possible typed event.
 type nopEv struct{ n int }
@@ -32,6 +35,14 @@ func TestTypedEventScheduleAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("typed schedule+run allocated %v objects per batch, want 0", allocs)
+	}
+}
+
+// TestEventSize pins the queue entry at 40 bytes: cycle, sequence number,
+// receiver interface and kind tag.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 40 {
+		t.Fatalf("event is %d bytes, want 40", got)
 	}
 }
 
@@ -74,23 +85,6 @@ func BenchmarkTypedSchedule(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.AtEvent(s.Now()+Cycle(i&255), ev, 0)
-		if i&1023 == 1023 {
-			s.Run()
-		}
-	}
-	s.Run()
-}
-
-// BenchmarkClosureSchedule is the closure-form comparison point for
-// BenchmarkTypedSchedule; the delta is the per-event closure+boxing cost the
-// typed API removes.
-func BenchmarkClosureSchedule(b *testing.B) {
-	s := New()
-	n := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.At(s.Now()+Cycle(i&255), func() { n++ })
 		if i&1023 == 1023 {
 			s.Run()
 		}

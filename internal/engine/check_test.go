@@ -10,7 +10,7 @@ import (
 func TestCheckStopsRun(t *testing.T) {
 	s := New()
 	for i := Cycle(0); i < 100; i++ {
-		s.At(i, func() {})
+		schedAt(s, i, func() {})
 	}
 	stop := errors.New("budget")
 	s.SetCheck(10, func() error {
@@ -36,7 +36,7 @@ func TestCheckStopsRun(t *testing.T) {
 func TestCheckInterval(t *testing.T) {
 	s := New()
 	for i := Cycle(0); i < 100; i++ {
-		s.At(i, func() {})
+		schedAt(s, i, func() {})
 	}
 	calls := 0
 	s.SetCheck(25, func() error { calls++; return nil })
@@ -53,7 +53,7 @@ func TestCheckInterval(t *testing.T) {
 // and clears stale stop state.
 func TestCheckRemovable(t *testing.T) {
 	s := New()
-	s.At(0, func() {})
+	schedAt(s, 0, func() {})
 	s.SetCheck(1, func() error { return errors.New("always") })
 	s.Run()
 	if s.StopErr() == nil {
@@ -63,7 +63,7 @@ func TestCheckRemovable(t *testing.T) {
 	if s.StopErr() != nil {
 		t.Fatal("removing the check kept a stale StopErr")
 	}
-	s.At(1, func() {})
+	schedAt(s, 1, func() {})
 	if s.Run() != 1 {
 		t.Fatal("unchecked run after removal did not drain")
 	}
@@ -73,7 +73,7 @@ func TestCheckRemovable(t *testing.T) {
 func TestCheckHonoredByRunUntil(t *testing.T) {
 	s := New()
 	for i := Cycle(0); i < 100; i++ {
-		s.At(i, func() {})
+		schedAt(s, i, func() {})
 	}
 	stop := errors.New("budget")
 	s.SetCheck(1, func() error {
@@ -99,10 +99,10 @@ func TestCheckedRunMatchesUnchecked(t *testing.T) {
 		var got []Cycle
 		for i := Cycle(0); i < 50; i++ {
 			i := i
-			s.At(i*3, func() {
+			schedAt(s, i*3, func() {
 				got = append(got, s.Now())
 				if i%7 == 0 {
-					s.After(2, func() { got = append(got, s.Now()) })
+					schedAfter(s, 2, func() { got = append(got, s.Now()) })
 				}
 			})
 		}
@@ -128,7 +128,7 @@ func TestCheckedRunMatchesUnchecked(t *testing.T) {
 func TestAuditStopsRun(t *testing.T) {
 	s := New()
 	for i := Cycle(0); i < 100; i++ {
-		s.At(i, func() {})
+		schedAt(s, i, func() {})
 	}
 	stop := errors.New("violation")
 	s.SetAudit(10, func() error {
@@ -151,7 +151,7 @@ func TestAuditStopsRun(t *testing.T) {
 func TestAuditIntervalIndependentOfCheck(t *testing.T) {
 	s := New()
 	for i := Cycle(0); i < 100; i++ {
-		s.At(i, func() {})
+		schedAt(s, i, func() {})
 	}
 	checks, audits := 0, 0
 	s.SetCheck(10, func() error { checks++; return nil })
@@ -168,7 +168,7 @@ func TestAuditIntervalIndependentOfCheck(t *testing.T) {
 // TestAuditRemovable asserts SetAudit(0, nil) restores the unhooked path.
 func TestAuditRemovable(t *testing.T) {
 	s := New()
-	s.At(0, func() {})
+	schedAt(s, 0, func() {})
 	s.SetAudit(1, func() error { return errors.New("always") })
 	s.Run()
 	if s.StopErr() == nil {
@@ -178,7 +178,7 @@ func TestAuditRemovable(t *testing.T) {
 	if s.StopErr() != nil {
 		t.Fatal("removing the audit kept a stale StopErr")
 	}
-	s.At(1, func() {})
+	schedAt(s, 1, func() {})
 	if s.Run() != 1 {
 		t.Fatal("unhooked run after removal did not drain")
 	}
@@ -190,7 +190,7 @@ func TestAuditRemovable(t *testing.T) {
 func TestCheckPrecedesAudit(t *testing.T) {
 	s := New()
 	for i := Cycle(0); i < 10; i++ {
-		s.At(i, func() {})
+		schedAt(s, i, func() {})
 	}
 	budget := errors.New("budget")
 	s.SetCheck(1, func() error { return budget })
@@ -205,7 +205,7 @@ func TestCheckPrecedesAudit(t *testing.T) {
 func TestAuditHonoredByRunUntil(t *testing.T) {
 	s := New()
 	for i := Cycle(0); i < 100; i++ {
-		s.At(i, func() {})
+		schedAt(s, i, func() {})
 	}
 	stop := errors.New("violation")
 	s.SetAudit(1, func() error {

@@ -7,13 +7,11 @@
 // the same cycle fire in scheduling order, so a simulation with a fixed
 // configuration and seed always produces identical results.
 //
-// Two scheduling forms share one queue. The closure form (At/After) is
-// convenient for tests and cold paths. The typed form (AtEvent/AfterEvent)
-// dispatches to a long-lived receiver implementing Event with a small kind
-// tag, so hot paths that fire millions of events can schedule without
-// allocating a closure per event; see core's pooled warp/load/store
-// contexts. Both forms share the (at, seq) total order, so mixing them
-// cannot reorder anything.
+// There is one scheduling form: AtEvent/AfterEvent dispatch to a long-lived
+// receiver implementing Event with a small kind tag, so hot paths that fire
+// millions of events schedule without allocating anything per event; see
+// core's pooled warp/load/store contexts. Every entry is ordered by
+// (at, seq).
 package engine
 
 import "fmt"
@@ -24,8 +22,8 @@ import "fmt"
 // bytes per cycle.
 type Cycle uint64
 
-// Event is the receiver side of the closure-free scheduling API. A receiver
-// with more than one schedulable action distinguishes them by the kind tag
+// Event is the receiver side of the scheduling API. A receiver with more
+// than one schedulable action distinguishes them by the kind tag
 // it passed to AtEvent/AfterEvent. Implementations are typically pooled,
 // long-lived objects, which is what makes this form allocation-free: an
 // interface value holding an existing pointer does not allocate.
@@ -33,11 +31,10 @@ type Event interface {
 	Dispatch(kind uint8)
 }
 
-// event is one queue entry. Exactly one of fn and ev is set.
+// event is one queue entry: 40 bytes, pointer-bearing only through ev.
 type event struct {
 	at   Cycle
 	seq  uint64
-	fn   func()
 	ev   Event
 	kind uint8
 }
@@ -120,23 +117,11 @@ func (s *Sim) clamp(t Cycle) Cycle {
 	return t
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past is an
-// error in the caller; the engine clamps it to the current time (counted by
-// Clamped) so the simulation still makes forward progress, which keeps small
-// floating-point slop in callers from wedging a run.
-func (s *Sim) At(t Cycle, fn func()) {
-	s.seq++
-	s.push(event{at: s.clamp(t), seq: s.seq, fn: fn})
-}
-
-// After schedules fn to run delay cycles from now.
-func (s *Sim) After(delay Cycle, fn func()) {
-	s.At(s.now+delay, fn)
-}
-
-// AtEvent schedules ev.Dispatch(kind) at absolute time t. Past times are
-// clamped exactly as in At. The event entry stores the receiver and tag
-// inline, so scheduling allocates nothing.
+// AtEvent schedules ev.Dispatch(kind) at absolute time t. Scheduling in the
+// past is an error in the caller; the engine clamps it to the current time
+// (counted by Clamped) so the simulation still makes forward progress, which
+// keeps small floating-point slop in callers from wedging a run. The event
+// entry stores the receiver and tag inline, so scheduling allocates nothing.
 func (s *Sim) AtEvent(t Cycle, ev Event, kind uint8) {
 	s.seq++
 	s.push(event{at: s.clamp(t), seq: s.seq, ev: ev, kind: kind})
@@ -171,7 +156,7 @@ func (s *Sim) pop() event {
 	top := h[0]
 	n := len(h) - 1
 	e := h[n]
-	h[n] = event{} // release the vacated slot's fn/ev references
+	h[n] = event{} // release the vacated slot's receiver reference
 	h = h[:n]
 	s.events = h
 	if n > 0 {
@@ -211,11 +196,7 @@ func (s *Sim) Step() bool {
 	e := s.pop()
 	s.now = e.at
 	s.nRun++
-	if e.ev != nil {
-		e.ev.Dispatch(e.kind)
-	} else {
-		e.fn()
-	}
+	e.ev.Dispatch(e.kind)
 	return true
 }
 

@@ -249,7 +249,7 @@ func (r *Runner) Run(jobs []Job) ([]*core.Result, error) {
 					buf = &bytes.Buffer{}
 					bufs[i] = buf
 				}
-				res, err := r.runJob(i, jobs[i], buf)
+				res, err := r.runJob(i, jobs[i], r.opts(jobs[i], buf), buf)
 				if err != nil {
 					errs[i] = err
 					failed.Store(true)
@@ -376,8 +376,7 @@ func safeRun(j Job, opts core.RunOptions) (res *core.Result, err error) {
 	return j.run(opts)
 }
 
-func (r *Runner) runJob(i int, j Job, buf *bytes.Buffer) (*core.Result, error) {
-	opts := r.opts(j, buf)
+func (r *Runner) runJob(i int, j Job, opts core.RunOptions, buf *bytes.Buffer) (*core.Result, error) {
 	run := func() (*core.Result, error) { return safeRun(j, opts) }
 	if r.Store != nil {
 		run = r.storeTier(r.StoreKey(j), buf, run)
@@ -413,6 +412,36 @@ func (r *Runner) storeTier(key string, buf *bytes.Buffer, run func() (*core.Resu
 		}
 		return res, err
 	}
+}
+
+// RunOne executes one job on the calling goroutine with everything Run
+// applies — limits, fault plan, memo cache, durable store — and appends its
+// sample stream to Metrics.W, so a sequence of RunOne calls writes the same
+// stream one Run over the whole list would. The job's own error is returned
+// as is, not wrapped in JobErrors. When metrics are armed and the job was
+// simulated, the run's metrics summary is returned too; it is nil when the
+// result came from the cache or the store, whose stream is replayed but was
+// not sampled by this process.
+func (r *Runner) RunOne(j Job) (*core.Result, *metrics.Summary, error) {
+	var buf *bytes.Buffer
+	if r.Metrics.enabled() {
+		buf = &bytes.Buffer{}
+	}
+	opts := r.opts(j, buf)
+	res, err := r.runJob(0, j, opts, buf)
+	if buf != nil {
+		if ferr := r.flushMetrics([]*bytes.Buffer{buf}, []error{err}); ferr != nil && err == nil {
+			err = fmt.Errorf("runner: metrics export: %w", ferr)
+		}
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	var sum *metrics.Summary
+	if opts.Metrics != nil {
+		sum = opts.Metrics.Summary()
+	}
+	return res, sum, nil
 }
 
 // RunSuite executes the given workloads on one configuration and returns

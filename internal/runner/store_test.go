@@ -198,3 +198,35 @@ func TestStoreKeySharedAcrossSlots(t *testing.T) {
 		t.Fatalf("memo key %q is not store key + slot suffix", k)
 	}
 }
+
+// RunOne over a job list writes the stream one Run over the same list
+// writes (CSV header once), cold and replayed from a warm store, and hands
+// back a metrics summary only for runs it actually sampled.
+func TestRunOneMatchesRun(t *testing.T) {
+	jobs := testJobs(t)[:4]
+	var want bytes.Buffer
+	wantRes, err := (&Runner{Workers: 2, Metrics: &MetricsOptions{W: &want, CSV: true}}).Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, pass := range []string{"cold", "warm"} {
+		var got bytes.Buffer
+		r := &Runner{Store: mustStore(t, dir), Metrics: &MetricsOptions{W: &got, CSV: true}}
+		for i, j := range jobs {
+			res, sum, err := r.RunOne(j)
+			if err != nil {
+				t.Fatalf("%s job %d: %v", pass, i, err)
+			}
+			if !reflect.DeepEqual(res, wantRes[i]) {
+				t.Errorf("%s job %d: result differs from Run", pass, i)
+			}
+			if sampled := sum != nil; sampled != (pass == "cold") {
+				t.Errorf("%s job %d: summary returned = %v", pass, i, sampled)
+			}
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s RunOne stream differs from Run's (%d vs %d bytes)", pass, got.Len(), want.Len())
+		}
+	}
+}

@@ -32,113 +32,6 @@ func Quantile(sorted []float64, q float64) float64 {
 	return sorted[i]*(1-frac) + sorted[i+1]*frac
 }
 
-// P2 is the Jain/Chlamtac P-squared streaming quantile estimator: five
-// markers tracking the running q-quantile in O(1) memory, exact until five
-// observations have arrived. It is sequential — the estimate depends on
-// arrival order — so the metrics aggregator only offers it in single-stream
-// mode; the order-independent estimator is Reservoir.
-type P2 struct {
-	q       float64
-	n       int
-	heights [5]float64
-	pos     [5]float64 // actual marker positions (1-based)
-	want    [5]float64 // desired marker positions
-	incr    [5]float64 // desired-position increments per observation
-}
-
-// NewP2 returns a P² estimator for the q-quantile, q in (0, 1).
-func NewP2(q float64) *P2 {
-	p := &P2{q: q}
-	p.incr = [5]float64{0, q / 2, q, (1 + q) / 2, 1}
-	return p
-}
-
-// Add feeds one observation.
-func (p *P2) Add(x float64) {
-	if p.n < 5 {
-		p.heights[p.n] = x
-		p.n++
-		if p.n == 5 {
-			sort.Float64s(p.heights[:])
-			for i := range p.pos {
-				p.pos[i] = float64(i + 1)
-			}
-			q := p.q
-			p.want = [5]float64{1, 1 + 2*q, 1 + 4*q, 3 + 2*q, 5}
-		}
-		return
-	}
-	p.n++
-	// Find the cell k containing x and update the extreme markers.
-	var k int
-	switch {
-	case x < p.heights[0]:
-		p.heights[0] = x
-		k = 0
-	case x >= p.heights[4]:
-		p.heights[4] = x
-		k = 3
-	default:
-		for k = 0; k < 3; k++ {
-			if x < p.heights[k+1] {
-				break
-			}
-		}
-	}
-	for i := k + 1; i < 5; i++ {
-		p.pos[i]++
-	}
-	for i := range p.want {
-		p.want[i] += p.incr[i]
-	}
-	// Adjust the three interior markers toward their desired positions.
-	for i := 1; i <= 3; i++ {
-		d := p.want[i] - p.pos[i]
-		if (d >= 1 && p.pos[i+1]-p.pos[i] > 1) || (d <= -1 && p.pos[i-1]-p.pos[i] < -1) {
-			s := 1.0
-			if d < 0 {
-				s = -1.0
-			}
-			h := p.parabolic(i, s)
-			if p.heights[i-1] < h && h < p.heights[i+1] {
-				p.heights[i] = h
-			} else {
-				p.heights[i] = p.linear(i, s)
-			}
-			p.pos[i] += s
-		}
-	}
-}
-
-func (p *P2) parabolic(i int, s float64) float64 {
-	return p.heights[i] + s/(p.pos[i+1]-p.pos[i-1])*
-		((p.pos[i]-p.pos[i-1]+s)*(p.heights[i+1]-p.heights[i])/(p.pos[i+1]-p.pos[i])+
-			(p.pos[i+1]-p.pos[i]-s)*(p.heights[i]-p.heights[i-1])/(p.pos[i]-p.pos[i-1]))
-}
-
-func (p *P2) linear(i int, s float64) float64 {
-	j := i + int(s)
-	return p.heights[i] + s*(p.heights[j]-p.heights[i])/(p.pos[j]-p.pos[i])
-}
-
-// N returns the number of observations fed so far.
-func (p *P2) N() int { return p.n }
-
-// Value returns the current q-quantile estimate. Under five observations it
-// is the exact quantile of what has arrived.
-func (p *P2) Value() float64 {
-	if p.n == 0 {
-		return 0
-	}
-	if p.n < 5 {
-		tmp := make([]float64, p.n)
-		copy(tmp, p.heights[:p.n])
-		sort.Float64s(tmp)
-		return Quantile(tmp, p.q)
-	}
-	return p.heights[2]
-}
-
 // rsItem is one retained Reservoir observation: the selection hash, the
 // caller's unique tag (total-order tie-break), and the value.
 type rsItem struct {

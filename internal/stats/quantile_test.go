@@ -48,55 +48,6 @@ func TestQuantileAgainstSortRank(t *testing.T) {
 	}
 }
 
-// TestP2Exact pins that under five observations P² is exact.
-func TestP2Exact(t *testing.T) {
-	p := NewP2(0.5)
-	if p.Value() != 0 {
-		t.Fatalf("empty P2 value = %v, want 0", p.Value())
-	}
-	p.Add(3)
-	p.Add(1)
-	if got := p.Value(); got != 2 {
-		t.Fatalf("P2 median of {1,3} = %v, want 2", got)
-	}
-	p.Add(2)
-	p.Add(9)
-	if got := p.Value(); got != 2.5 {
-		t.Fatalf("P2 median of {1,2,3,9} = %v, want 2.5", got)
-	}
-}
-
-// TestP2Accuracy bounds the P² estimate on known distributions: within a few
-// percentile ranks of the exact quantile over 50k samples.
-func TestP2Accuracy(t *testing.T) {
-	dists := map[string]func(*rand.Rand) float64{
-		"uniform": func(r *rand.Rand) float64 { return r.Float64() },
-		"normal":  func(r *rand.Rand) float64 { return r.NormFloat64() },
-		"exp":     func(r *rand.Rand) float64 { return r.ExpFloat64() },
-	}
-	for name, gen := range dists {
-		for _, q := range []float64{0.5, 0.95, 0.99} {
-			rng := rand.New(rand.NewSource(42))
-			p := NewP2(q)
-			xs := make([]float64, 50000)
-			for i := range xs {
-				x := gen(rng)
-				xs[i] = x
-				p.Add(x)
-			}
-			sort.Float64s(xs)
-			est := p.Value()
-			// Rank-space error bound: the estimate must sit between the
-			// exact q-0.01 and q+0.01 quantiles.
-			lo := Quantile(xs, q-0.01)
-			hi := Quantile(xs, q+0.01)
-			if est < lo || est > hi {
-				t.Errorf("%s q=%v: P2 estimate %v outside exact [%v, %v] (q±0.01)", name, q, est, lo, hi)
-			}
-		}
-	}
-}
-
 // TestReservoirExactWhenSmall: with n <= k the reservoir holds everything, so
 // its quantiles are exact.
 func TestReservoirExactWhenSmall(t *testing.T) {

@@ -1,35 +1,9 @@
-// Package trace records the memory access streams of synthetic workloads in
-// a compact binary format, replays them, and characterizes them. Traces
-// serve three purposes: they pin down workload determinism in tests, they
-// let access streams be inspected or exported for external analysis, and
-// they provide the per-application characterization (working set, write
-// share, reuse) that Table 4-style reporting builds on.
-//
-// Format (little endian):
-//
-//	magic "MCMT" | version u32 | name len u32 | name bytes
-//	ctas u32 | warpsPerCTA u32
-//	per warp: opCount u32, then per op: flags u8, numLines u8, lines varint-delta
-//
-// Lines are delta-encoded against the previous line address of the same
-// warp, zig-zag varint, which compresses streaming patterns well.
+// Package trace records the memory access streams of synthetic workloads
+// and characterizes them: the per-application working set, write share and
+// reuse that mcmsim -characterize reports, Table 4-style.
 package trace
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-
-	"mcmgpu/internal/workload"
-)
-
-const (
-	magic   = "MCMT"
-	version = 1
-
-	flagWrite = 1 << 0
-)
+import "mcmgpu/internal/workload"
 
 // Op is one recorded warp memory operation.
 type Op struct {
@@ -90,154 +64,6 @@ func (t *Trace) Ops() int {
 	return n
 }
 
-// zigzag encodes a signed delta as unsigned.
-func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
-
-// unzigzag reverses zigzag.
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// WriteTo serializes the trace. It implements io.WriterTo.
-func (t *Trace) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	write := func(p []byte) error {
-		m, err := bw.Write(p)
-		n += int64(m)
-		return err
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		return write(scratch[:binary.PutUvarint(scratch[:], v)])
-	}
-	if err := write([]byte(magic)); err != nil {
-		return n, err
-	}
-	if err := writeUvarint(version); err != nil {
-		return n, err
-	}
-	if err := writeUvarint(uint64(len(t.Name))); err != nil {
-		return n, err
-	}
-	if err := write([]byte(t.Name)); err != nil {
-		return n, err
-	}
-	if err := writeUvarint(uint64(t.CTAs)); err != nil {
-		return n, err
-	}
-	if err := writeUvarint(uint64(t.WarpsPerCTA)); err != nil {
-		return n, err
-	}
-	for i := range t.Warps {
-		wt := &t.Warps[i]
-		if err := writeUvarint(uint64(len(wt.Ops))); err != nil {
-			return n, err
-		}
-		prev := int64(0)
-		for _, op := range wt.Ops {
-			flags := byte(0)
-			if op.Write {
-				flags |= flagWrite
-			}
-			if err := write([]byte{flags, byte(len(op.Lines))}); err != nil {
-				return n, err
-			}
-			for _, l := range op.Lines {
-				if err := writeUvarint(zigzag(int64(l) - prev)); err != nil {
-					return n, err
-				}
-				prev = int64(l)
-			}
-		}
-	}
-	return n, bw.Flush()
-}
-
-// Read deserializes a trace written by WriteTo.
-func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if string(head) != magic {
-		return nil, fmt.Errorf("trace: bad magic %q", head)
-	}
-	v, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading version: %w", err)
-	}
-	if v != version {
-		return nil, fmt.Errorf("trace: unsupported version %d", v)
-	}
-	nameLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading name length: %w", err)
-	}
-	if nameLen > 1<<16 {
-		return nil, fmt.Errorf("trace: implausible name length %d", nameLen)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("trace: reading name: %w", err)
-	}
-	ctas, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading cta count: %w", err)
-	}
-	warps, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading warp count: %w", err)
-	}
-	const maxWarps = 1 << 24
-	if ctas == 0 || warps == 0 || ctas*warps > maxWarps {
-		return nil, fmt.Errorf("trace: implausible shape %dx%d", ctas, warps)
-	}
-	t := &Trace{
-		Name:        string(name),
-		CTAs:        int(ctas),
-		WarpsPerCTA: int(warps),
-		Warps:       make([]WarpTrace, 0, ctas*warps),
-	}
-	for cta := 0; cta < t.CTAs; cta++ {
-		for w := 0; w < t.WarpsPerCTA; w++ {
-			nOps, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("trace: warp %d/%d op count: %w", cta, w, err)
-			}
-			if nOps > 1<<24 {
-				return nil, fmt.Errorf("trace: implausible op count %d", nOps)
-			}
-			wt := WarpTrace{CTA: cta, Warp: w, Ops: make([]Op, 0, nOps)}
-			prev := int64(0)
-			for o := uint64(0); o < nOps; o++ {
-				var hdr [2]byte
-				if _, err := io.ReadFull(br, hdr[:]); err != nil {
-					return nil, fmt.Errorf("trace: op header: %w", err)
-				}
-				nLines := int(hdr[1])
-				if nLines == 0 || nLines > workload.MaxLinesPerOp {
-					return nil, fmt.Errorf("trace: implausible line count %d", nLines)
-				}
-				op := Op{Write: hdr[0]&flagWrite != 0, Lines: make([]uint64, nLines)}
-				for l := 0; l < nLines; l++ {
-					d, err := binary.ReadUvarint(br)
-					if err != nil {
-						return nil, fmt.Errorf("trace: line delta: %w", err)
-					}
-					prev += unzigzag(d)
-					if prev < 0 {
-						return nil, fmt.Errorf("trace: negative line address")
-					}
-					op.Lines[l] = uint64(prev)
-				}
-				wt.Ops = append(wt.Ops, op)
-			}
-			t.Warps = append(t.Warps, wt)
-		}
-	}
-	return t, nil
-}
-
 // Stats summarizes a trace.
 type Stats struct {
 	Ops           int
@@ -276,28 +102,4 @@ func (t *Trace) Summarize() Stats {
 		s.ReuseFactor = float64(s.LineAccesses) / float64(s.UniqueLines)
 	}
 	return s
-}
-
-// Equal reports whether two traces are identical.
-func (t *Trace) Equal(o *Trace) bool {
-	if t.Name != o.Name || t.CTAs != o.CTAs || t.WarpsPerCTA != o.WarpsPerCTA || len(t.Warps) != len(o.Warps) {
-		return false
-	}
-	for i := range t.Warps {
-		a, b := &t.Warps[i], &o.Warps[i]
-		if a.CTA != b.CTA || a.Warp != b.Warp || len(a.Ops) != len(b.Ops) {
-			return false
-		}
-		for j := range a.Ops {
-			if a.Ops[j].Write != b.Ops[j].Write || len(a.Ops[j].Lines) != len(b.Ops[j].Lines) {
-				return false
-			}
-			for k := range a.Ops[j].Lines {
-				if a.Ops[j].Lines[k] != b.Ops[j].Lines[k] {
-					return false
-				}
-			}
-		}
-	}
-	return true
 }

@@ -1,10 +1,8 @@
 package trace
 
 import (
-	"bytes"
-	"strings"
+	"reflect"
 	"testing"
-	"testing/quick"
 
 	"mcmgpu/internal/workload"
 )
@@ -42,71 +40,6 @@ func TestRecordRejectsInvalidSpec(t *testing.T) {
 	}
 }
 
-func TestRoundTrip(t *testing.T) {
-	tr, err := Record(smallSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	n, err := tr.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr.Equal(got) {
-		t.Fatalf("round trip lost data")
-	}
-}
-
-func TestCompression(t *testing.T) {
-	// Streaming traces delta-compress well: far below 8 bytes per line.
-	spec, err := workload.ByName("Stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := Record(spec.Scaled(0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s := tr.Summarize()
-	bytesPerLine := float64(buf.Len()) / float64(s.LineAccesses)
-	if bytesPerLine > 6 {
-		t.Errorf("trace encodes %.1f bytes/line; delta coding ineffective", bytesPerLine)
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		[]byte("NOPE"),
-		[]byte("MCMTgarbage that goes nowhere"),
-	}
-	for i, c := range cases {
-		if _, err := Read(bytes.NewReader(c)); err == nil {
-			t.Errorf("case %d: garbage accepted", i)
-		}
-	}
-}
-
-func TestReadRejectsWrongVersion(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString(magic)
-	buf.WriteByte(99) // version uvarint
-	if _, err := Read(&buf); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("wrong version accepted: %v", err)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	spec := smallSpec()
 	tr, err := Record(spec)
@@ -140,36 +73,14 @@ func TestDeterministicRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Equal(b) {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("recording is nondeterministic")
 	}
 }
 
-func TestEqualDetectsDifferences(t *testing.T) {
-	a, _ := Record(smallSpec())
-	b, _ := Record(smallSpec())
-	b.Warps[0].Ops[0].Lines[0]++
-	if a.Equal(b) {
-		t.Fatalf("Equal missed a line difference")
-	}
-	c, _ := Record(smallSpec())
-	c.Name = "other"
-	if a.Equal(c) {
-		t.Fatalf("Equal missed a name difference")
-	}
-}
-
-// Property: zigzag coding round-trips all deltas.
-func TestZigzagRoundTripProperty(t *testing.T) {
-	f := func(d int64) bool { return unzigzag(zigzag(d)) == d }
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: every workload in the suite records and round-trips at tiny
-// scale.
-func TestSuiteRoundTripProperty(t *testing.T) {
+// Property: every workload in the suite records at tiny scale, and its
+// summary counts every recorded op.
+func TestSuiteRecordsProperty(t *testing.T) {
 	for _, spec := range workload.Suite() {
 		small := spec.Scaled(0.02)
 		small.CTAs = 8 // keep traces tiny
@@ -180,16 +91,8 @@ func TestSuiteRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
-		var buf bytes.Buffer
-		if _, err := tr.WriteTo(&buf); err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
-		}
-		got, err := Read(&buf)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
-		}
-		if !tr.Equal(got) {
-			t.Fatalf("%s: round trip lost data", spec.Name)
+		if s := tr.Summarize(); s.Ops != tr.Ops() || s.Ops == 0 {
+			t.Fatalf("%s: summary counts %d ops, trace has %d", spec.Name, s.Ops, tr.Ops())
 		}
 	}
 }

@@ -341,3 +341,25 @@ func TestOpsForCTAUniformWithoutImbalance(t *testing.T) {
 		}
 	}
 }
+
+func TestSelect(t *testing.T) {
+	cases := []struct {
+		sel  string
+		want int
+	}{
+		{"all", 48}, {"ALL", 48}, {"m-intensive", 17}, {"c-intensive", 16},
+		{"limited", 15}, {"dense", len(Dense())}, {"Stream", 1}, {"GEMM2D-4K", 1},
+	}
+	for _, c := range cases {
+		specs, err := Select(c.sel)
+		if err != nil {
+			t.Fatalf("Select(%q): %v", c.sel, err)
+		}
+		if len(specs) != c.want {
+			t.Errorf("Select(%q) = %d specs, want %d", c.sel, len(specs), c.want)
+		}
+	}
+	if _, err := Select("nope"); err == nil {
+		t.Errorf("Select(nope) succeeded")
+	}
+}

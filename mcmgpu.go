@@ -69,7 +69,7 @@ type (
 	// drivers and the batch runner (see Options.Metrics).
 	MetricsOptions = runner.MetricsOptions
 	// RunStore is the durable on-disk, content-addressed result store (see
-	// Options.Store and OpenRunStore). Every blob is SHA-256 verified on
+	// Options.Store). Every blob is SHA-256 verified on
 	// read; damage degrades to recompute, never to a wrong answer.
 	RunStore = runstore.Store
 	// RunStoreStats snapshots store effectiveness and health counters.
@@ -226,21 +226,6 @@ func RunCacheStats() CacheStats { return runner.Shared().Stats() }
 // Mainly useful in tests and long-lived processes that change the workload
 // registry.
 func ResetRunCache() { runner.Shared().Reset() }
-
-// OpenRunStore opens (creating if needed) the durable run store rooted at
-// dir and arms any store-family fault plan from MCMGPU_FAULT on it (a
-// malformed plan is ignored here; the CLIs reject it before opening the
-// store). Warnings — quarantined files, degraded reads — are reported
-// through warnf when non-nil. The handle is safe for concurrent use and
-// can back any number of Options values.
-func OpenRunStore(dir string, warnf func(format string, args ...interface{})) (*RunStore, error) {
-	plan, _ := faultinject.FromEnv()
-	opts := []runstore.Option{runstore.WithFault(plan)}
-	if warnf != nil {
-		opts = append(opts, runstore.WithLogf(warnf))
-	}
-	return runstore.Open(dir, opts...)
-}
 
 // resultSet caches per-workload results for one system configuration.
 type resultSet map[string]*core.Result
