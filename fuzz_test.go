@@ -49,13 +49,15 @@ func FuzzFaultSpec(f *testing.F) {
 	})
 }
 
-// fuzzSpec is the tiny fixed workload FuzzConfigValidate drives through any
+// fuzzSpec is the tiny workload FuzzConfigValidate drives through any
 // machine that validates: small enough to stay fast per fuzz exec, with
-// writes and multiple CTAs so every memory path is exercised.
-func fuzzSpec() *workload.Spec {
+// writes and multiple CTAs so every memory path is exercised. Its CTAs use
+// two warps, or one when the SM holds only one, so every validated config
+// runs it rather than rejecting it before the simulation starts.
+func fuzzSpec(warpsPerSM int) *workload.Spec {
 	return &workload.Spec{
 		Name: "fuzz-probe", Category: workload.MemoryIntensive, Pattern: workload.PatStreaming,
-		CTAs: 8, WarpsPerCTA: 2, MemOpsPerWarp: 4, ComputePerMem: 2,
+		CTAs: 8, WarpsPerCTA: min(2, warpsPerSM), MemOpsPerWarp: 4, ComputePerMem: 2,
 		KernelIters: 1, FootprintLines: 256, WriteFraction: 0.3, LinesPerOp: 1, Seed: 1,
 	}
 }
@@ -127,7 +129,7 @@ func FuzzConfigValidate(f *testing.F) {
 		// routing, translation and scheduling paths panic lazily. The event
 		// budget bounds pathological-but-valid geometries (e.g. bandwidths
 		// so small every transfer takes eons of simulated time).
-		_, err = m.RunWith(fuzzSpec(), core.RunOptions{
+		_, err = m.RunWith(fuzzSpec(cfg.WarpsPerSM), core.RunOptions{
 			Audit:      true,
 			MaxEvents:  200_000,
 			CheckEvery: 256,

@@ -17,23 +17,31 @@ import (
 	"mcmgpu/internal/stats"
 )
 
+// line is one way of a set packed into a word: the tag above the two state
+// flags (tag<<flagBits | flags). An invalid way is 0.
+type line uint64
+
 // Line state flags.
 const (
-	flagValid = 1 << iota
+	flagValid line = 1 << iota
 	flagDirty
+
+	flagBits = 2
 )
 
-type line struct {
-	tag   uint64
-	flags uint8
-}
+// MaxTag is the largest tag a packed line holds: the line address divided
+// by the set count must not exceed it. Line addresses the simulator builds
+// stay below workload.MaxFootprintLines = MaxTag+1 (Spec.Validate), and
+// the L2's vm.CacheAddr only divides them further, so every tag fits.
+const MaxTag = 1<<(64-flagBits) - 1
 
 // Cache is a set-associative cache with true LRU replacement.
 // Ways within a set are kept in recency order (index 0 = MRU), which is
-// cheap for the small associativities used here (4–16 ways).
+// cheap for the small associativities used here (4–16 ways). All sets
+// share one flat array: set i is lines[i*ways : (i+1)*ways].
 type Cache struct {
 	name      string
-	sets      [][]line
+	lines     []line
 	setMask   uint64
 	setShift  uint
 	ways      int
@@ -58,14 +66,9 @@ func New(name string, lines, ways int, writeBack bool) *Cache {
 	if nSets&(nSets-1) != 0 {
 		panic(fmt.Sprintf("cache %q: set count %d not a power of two", name, nSets))
 	}
-	sets := make([][]line, nSets)
-	backing := make([]line, lines)
-	for i := range sets {
-		sets[i] = backing[i*ways : (i+1)*ways : (i+1)*ways]
-	}
 	return &Cache{
 		name:      name,
-		sets:      sets,
+		lines:     make([]line, lines),
 		setMask:   uint64(nSets - 1),
 		setShift:  uint(bits.TrailingZeros(uint(nSets))),
 		ways:      ways,
@@ -77,7 +80,7 @@ func New(name string, lines, ways int, writeBack bool) *Cache {
 func (c *Cache) Name() string { return c.name }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return len(c.sets) }
+func (c *Cache) Sets() int { return int(c.setMask) + 1 }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
@@ -93,8 +96,17 @@ type Result struct {
 	NeedsWriteback bool
 }
 
-func (c *Cache) set(addr uint64) []line { return c.sets[addr&c.setMask] }
-func (c *Cache) tag(addr uint64) uint64 { return addr >> c.setShift }
+// set returns the ways of the set with index idx.
+func (c *Cache) set(idx uint64) []line {
+	lo := int(idx) * c.ways
+	return c.lines[lo : lo+c.ways]
+}
+
+// key returns the word a valid way holding addr matches once its dirty flag
+// is set: way l holds addr exactly when l|flagDirty == key.
+func (c *Cache) key(addr uint64) line {
+	return line(addr>>c.setShift)<<flagBits | flagValid | flagDirty
+}
 
 // touch moves way i of set s to the MRU position.
 func touch(s []line, i int) {
@@ -108,10 +120,10 @@ func touch(s []line, i int) {
 
 // Lookup probes the cache without modifying replacement state or statistics.
 func (c *Cache) Lookup(addr uint64) bool {
-	s := c.set(addr)
-	t := c.tag(addr)
+	s := c.set(addr & c.setMask)
+	k := c.key(addr)
 	for i := range s {
-		if s[i].flags&flagValid != 0 && s[i].tag == t {
+		if s[i]|flagDirty == k {
 			return true
 		}
 	}
@@ -124,14 +136,15 @@ func (c *Cache) Lookup(addr uint64) bool {
 // the write downstream). The returned Result reports any dirty victim that
 // must be written back.
 func (c *Cache) Access(addr uint64, write bool) Result {
-	s := c.set(addr)
-	t := c.tag(addr)
+	idx := addr & c.setMask
+	s := c.set(idx)
+	k := c.key(addr)
 	for i := range s {
-		if s[i].flags&flagValid != 0 && s[i].tag == t {
+		if s[i]|flagDirty == k {
 			touch(s, i)
 			if write {
 				if c.writeBack {
-					s[0].flags |= flagDirty
+					s[0] |= flagDirty
 				}
 				c.writes.Observe(true)
 			} else {
@@ -146,20 +159,20 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	} else {
 		c.reads.Observe(false)
 	}
-	return c.fill(s, addr&c.setMask, t, write)
+	return c.fill(s, idx, k, write)
 }
 
 // Probe performs a read or write access without allocating on miss. It is
 // used for allocation-policy filtering (e.g. local accesses bypassing a
 // remote-only L1.5 must not disturb its contents or statistics).
 func (c *Cache) Probe(addr uint64, write bool) bool {
-	s := c.set(addr)
-	t := c.tag(addr)
+	s := c.set(addr & c.setMask)
+	k := c.key(addr)
 	for i := range s {
-		if s[i].flags&flagValid != 0 && s[i].tag == t {
+		if s[i]|flagDirty == k {
 			touch(s, i)
 			if write && c.writeBack {
-				s[0].flags |= flagDirty
+				s[0] |= flagDirty
 			}
 			return true
 		}
@@ -167,28 +180,32 @@ func (c *Cache) Probe(addr uint64, write bool) bool {
 	return false
 }
 
-// fill inserts tag t into set s (whose index is setIdx) as MRU, evicting the
-// LRU way. The victim's line address is reconstructed from its tag and the
-// shared set index.
-func (c *Cache) fill(s []line, setIdx, t uint64, write bool) Result {
+// fill inserts the line with key k (see key) into set s (whose index is
+// setIdx) as MRU, evicting the LRU way. The victim's line address is
+// reconstructed from its tag and the shared set index.
+func (c *Cache) fill(s []line, setIdx uint64, k line, write bool) Result {
 	var res Result
 	victim := s[len(s)-1]
-	if victim.flags&flagValid != 0 {
+	if victim&flagValid != 0 {
 		res.Evicted = true
 		c.evictions.Inc()
-		if victim.flags&flagDirty != 0 {
+		if victim&flagDirty != 0 {
 			res.NeedsWriteback = true
-			res.WritebackAddr = victim.tag<<c.setShift | setIdx
+			res.WritebackAddr = c.lineAddr(victim, setIdx)
 			c.writebacks.Inc()
 		}
 	}
 	copy(s[1:], s[:len(s)-1])
-	nl := line{tag: t, flags: flagValid}
-	if write && c.writeBack {
-		nl.flags |= flagDirty
+	if !write || !c.writeBack {
+		k &^= flagDirty
 	}
-	s[0] = nl
+	s[0] = k
 	return res
+}
+
+// lineAddr reconstructs the line address held by way l of set setIdx.
+func (c *Cache) lineAddr(l line, setIdx uint64) uint64 {
+	return uint64(l>>flagBits)<<c.setShift | setIdx
 }
 
 // Flush invalidates the entire cache and returns the line addresses of all
@@ -197,28 +214,25 @@ func (c *Cache) fill(s []line, setIdx, t uint64, write bool) Result {
 func (c *Cache) Flush() []uint64 {
 	c.flushes.Inc()
 	var dirty []uint64
-	for si := range c.sets {
-		s := c.sets[si]
-		for i := range s {
-			if s[i].flags&flagValid != 0 && s[i].flags&flagDirty != 0 {
-				dirty = append(dirty, s[i].tag<<c.setShift|uint64(si))
-			}
-			s[i] = line{}
+	for i, l := range c.lines {
+		if l&(flagValid|flagDirty) == flagValid|flagDirty {
+			dirty = append(dirty, c.lineAddr(l, uint64(i/c.ways)))
 		}
 	}
+	clear(c.lines)
 	return dirty
 }
 
 // Invalidate removes a single line if present, returning whether it was
 // dirty.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	s := c.set(addr)
-	t := c.tag(addr)
+	s := c.set(addr & c.setMask)
+	k := c.key(addr)
 	for i := range s {
-		if s[i].flags&flagValid != 0 && s[i].tag == t {
-			dirty = s[i].flags&flagDirty != 0
+		if s[i]|flagDirty == k {
+			dirty = s[i]&flagDirty != 0
 			copy(s[i:], s[i+1:])
-			s[len(s)-1] = line{}
+			s[len(s)-1] = 0
 			return true, dirty
 		}
 	}
@@ -228,11 +242,9 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 // Occupancy returns the number of valid lines.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, s := range c.sets {
-		for i := range s {
-			if s[i].flags&flagValid != 0 {
-				n++
-			}
+	for _, l := range c.lines {
+		if l&flagValid != 0 {
+			n++
 		}
 	}
 	return n
@@ -287,10 +299,11 @@ func (c *Cache) Writebacks() uint64 { return c.writebacks.Value() }
 // coherence), and hit counters exceeding access counters.
 func (c *Cache) Audit(r *audit.Reporter) {
 	occ := 0
-	for si, s := range c.sets {
+	for si := 0; si < c.Sets(); si++ {
+		s := c.set(uint64(si))
 		invalidAt := -1
 		for i := range s {
-			if s[i].flags&flagValid == 0 {
+			if s[i]&flagValid == 0 {
 				if invalidAt < 0 {
 					invalidAt = i
 				}
@@ -301,19 +314,19 @@ func (c *Cache) Audit(r *audit.Reporter) {
 				r.Reportf("cache-lru", c.name,
 					"set %d: valid line in way %d behind invalid way %d; the LRU stack must keep valid ways as a prefix", si, i, invalidAt)
 			}
-			if s[i].flags&flagDirty != 0 && !c.writeBack {
+			if s[i]&flagDirty != 0 && !c.writeBack {
 				r.Reportf("cache-write-through", c.name,
 					"set %d way %d holds a dirty line in a write-through cache", si, i)
 			}
 			for j := 0; j < i; j++ {
-				if s[j].flags&flagValid != 0 && s[j].tag == s[i].tag {
+				if s[j]|flagDirty == s[i]|flagDirty {
 					r.Reportf("cache-dup-tag", c.name,
-						"set %d: tag %#x present in ways %d and %d", si, s[i].tag, j, i)
+						"set %d: tag %#x present in ways %d and %d", si, uint64(s[i]>>flagBits), j, i)
 				}
 			}
 		}
 	}
-	capacity := len(c.sets) * c.ways
+	capacity := len(c.lines)
 	if occ > capacity {
 		r.Reportf("cache-occupancy", c.name, "%d valid lines exceed capacity %d", occ, capacity)
 	}

@@ -2,8 +2,10 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestBasicHitMiss(t *testing.T) {
@@ -248,6 +250,57 @@ func TestResetStats(t *testing.T) {
 	}
 	if !c.Lookup(1) {
 		t.Fatalf("ResetStats cleared contents")
+	}
+}
+
+// TestLineSize pins a cache line at one packed 8-byte word.
+func TestLineSize(t *testing.T) {
+	if got := unsafe.Sizeof(line(0)); got != 8 {
+		t.Fatalf("line is %d bytes, want 8", got)
+	}
+}
+
+var sink *Cache
+
+// TestNewAllocsIndependentOfSets pins New at two allocations, the Cache and
+// its flat line array, whatever the set count: there is no per-set slice.
+func TestNewAllocsIndependentOfSets(t *testing.T) {
+	for _, lines := range []int{16, 1024, 1 << 16} {
+		allocs := testing.AllocsPerRun(20, func() { sink = New("c", lines, 16, true) })
+		if allocs != 2 {
+			t.Errorf("New with %d sets made %v allocations, want 2", lines/16, allocs)
+		}
+	}
+}
+
+// TestMaxTagRoundTrip drives the largest line address the simulator
+// produces (workload.MaxFootprintLines-1, which is MaxTag) through a miss,
+// a hit, a dirty eviction, an Invalidate and a Flush. On the one-set cache
+// the tag is the whole address, the largest tag a packed line must hold.
+func TestMaxTagRoundTrip(t *testing.T) {
+	const top = uint64(MaxTag)
+	for _, sets := range []int{1, 64} {
+		c := New("l2", 2*sets, 2, true)
+		step := uint64(sets) // same set, next tag down
+		if c.Access(top, true).Hit || !c.Access(top, false).Hit || !c.Lookup(top) {
+			t.Fatalf("%d sets: top address did not fill and hit", sets)
+		}
+		c.Access(top-step, false)
+		r := c.Access(top-2*step, false)
+		if !r.NeedsWriteback || r.WritebackAddr != top {
+			t.Fatalf("%d sets: dirty victim writeback %v at %#x, want %#x", sets, r.NeedsWriteback, r.WritebackAddr, top)
+		}
+		c.Access(top, true)
+		if present, dirty := c.Invalidate(top); !present || !dirty {
+			t.Fatalf("%d sets: Invalidate(top) = %v, %v, want true, true", sets, present, dirty)
+		}
+		c.Access(top, true)
+		if got := c.Flush(); !slices.Equal(got, []uint64{top}) {
+			t.Fatalf("%d sets: Flush returned %#x, want [%#x]", sets, got, top)
+		}
+		if c.Occupancy() != 0 || c.Lookup(top) {
+			t.Fatalf("%d sets: lines survived Flush", sets)
+		}
 	}
 }
 

@@ -120,8 +120,10 @@ type SimError struct {
 	Clock engine.Cycle
 	// Events is the number of events dispatched before termination.
 	Events uint64
-	// HeapLen is the number of events still queued — a livelocked run shows
-	// a small, steady heap; an event explosion shows a huge one.
+	// HeapLen is the number of queued events (engine.Sim.Pending) — a
+	// livelocked run shows a small, steady count; an event explosion shows
+	// a huge one. The name and the "heap=" text of Error predate the
+	// calendar-ring queue and are kept for log compatibility.
 	HeapLen int
 	// LiveCTAs is the number of CTAs resident when the run stopped.
 	LiveCTAs int

@@ -16,33 +16,42 @@ type nopEv struct{ n int }
 func (e *nopEv) Dispatch(uint8) { e.n++ }
 
 // TestTypedEventScheduleAllocFree pins the allocation-free contract of the
-// typed scheduling path: once the queue's backing array has grown to its
-// steady-state size, AtEvent + Step allocate nothing per event.
+// typed scheduling path: once the slab and the overflow heap have grown to
+// their steady-state sizes, AtEvent, Step and RunUntil allocate nothing per
+// event, on the ring path, the overflow path and RunUntil's idle jump.
 func TestTypedEventScheduleAllocFree(t *testing.T) {
 	s := New()
 	ev := &nopEv{}
 	const batch = 512
-	// Warm the queue's backing array to its high-water mark.
-	for i := 0; i < batch; i++ {
-		s.AtEvent(Cycle(i%13), ev, 0)
-	}
-	s.Run()
-	allocs := testing.AllocsPerRun(100, func() {
+	round := func() {
 		for i := 0; i < batch; i++ {
-			s.AtEvent(s.Now()+Cycle(i%13), ev, uint8(i&1))
+			d := Cycle(i % 13)
+			if i%8 == 0 {
+				d = ringSize + Cycle(i) // overflow heap
+			}
+			s.AtEvent(s.Now()+d, ev, uint8(i&1))
 		}
+		// Drain the ring, then jump the idle clock past the point where
+		// the overflow events move into the ring.
+		s.RunUntil(s.Now() + ringSize/2)
 		s.Run()
-	})
+	}
+	round() // warm the slab and the overflow heap to their high-water marks
+	allocs := testing.AllocsPerRun(100, round)
 	if allocs != 0 {
 		t.Fatalf("typed schedule+run allocated %v objects per batch, want 0", allocs)
 	}
 }
 
-// TestEventSize pins the queue entry at 40 bytes: cycle, sequence number,
-// receiver interface and kind tag.
+// TestEventSize pins the queue's entries: a ring node (receiver interface,
+// next index and kind tag) is 24 bytes, and an overflow-heap entry, which
+// adds the cycle and sequence number, is 40.
 func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got != 24 {
+		t.Fatalf("ring node is %d bytes, want 24", got)
+	}
 	if got := unsafe.Sizeof(event{}); got != 40 {
-		t.Fatalf("event is %d bytes, want 40", got)
+		t.Fatalf("overflow entry is %d bytes, want 40", got)
 	}
 }
 
@@ -58,10 +67,11 @@ func TestResourceReserveAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkHeapPushPop measures the specialized heap on the push/pop mix the
-// simulator produces: a bounded queue with interleaved scheduling while
-// draining, timestamps spread over a small window.
-func BenchmarkHeapPushPop(b *testing.B) {
+// benchQueue measures the queue on the push/pop mix the simulator
+// produces: a bounded queue with interleaved scheduling while draining.
+// One push in every farEvery (0: none) is due ringSize or more cycles
+// ahead and takes the overflow path.
+func benchQueue(b *testing.B, farEvery int) {
 	s := New()
 	ev := &nopEv{}
 	const window = 1024
@@ -71,10 +81,23 @@ func BenchmarkHeapPushPop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.AtEvent(s.Now()+Cycle(i*31%211), ev, 0)
+		d := Cycle(i * 31 % 211)
+		if farEvery > 0 && i%farEvery == 0 {
+			d += ringSize
+		}
+		s.AtEvent(s.Now()+d, ev, 0)
 		s.Step()
 	}
 }
+
+// BenchmarkQueuePushPop keeps every delay under 211 cycles, inside the
+// ring, like the dense cells.
+func BenchmarkQueuePushPop(b *testing.B) { benchQueue(b, 0) }
+
+// BenchmarkQueuePushPopOverflow sends one push in eight to the overflow
+// heap, far more than the 0.2% a suite pass does, so the cost of the
+// overflow path shows.
+func BenchmarkQueuePushPopOverflow(b *testing.B) { benchQueue(b, 8) }
 
 // BenchmarkTypedSchedule measures pure AtEvent cost (drained between
 // batches so the heap stays at a steady size).

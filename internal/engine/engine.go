@@ -10,11 +10,14 @@
 // There is one scheduling form: AtEvent/AfterEvent dispatch to a long-lived
 // receiver implementing Event with a small kind tag, so hot paths that fire
 // millions of events schedule without allocating anything per event; see
-// core's pooled warp/load/store contexts. Every entry is ordered by
-// (at, seq).
+// core's pooled warp/load/store contexts. Events fire in (at, seq) order:
+// earlier cycle first, and within a cycle, scheduling order.
 package engine
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Cycle is a point in simulated time, measured in GPU core cycles.
 // The model clocks the GPU at 1 GHz (Table 3 of the paper), so one cycle is
@@ -31,7 +34,29 @@ type Event interface {
 	Dispatch(kind uint8)
 }
 
-// event is one queue entry: 40 bytes, pointer-bearing only through ev.
+// ringSize is the span of the calendar ring in cycles: an event due fewer
+// than ringSize cycles ahead goes straight into the bucket of its cycle, a
+// later one into the overflow heap. Every full-size dense cell schedules all
+// of its events under 1024 cycles ahead, and a suite pass sends 0.2% of its
+// pushes to the overflow heap (DESIGN.md, Event engine internals). It must
+// be a power of two.
+const (
+	ringSize  = 1024
+	ringMask  = ringSize - 1
+	ringWords = ringSize / 64
+)
+
+// node is one ring entry in the slab: the receiver, its kind tag, and the
+// slab index of the next node in the same bucket (or on the free list).
+// Index 0 ends a list; slab[0] is a sentinel that never holds an event.
+type node struct {
+	ev   Event
+	next int32
+	kind uint8
+}
+
+// event is one overflow-heap entry: an event due ringSize or more cycles
+// after the cycle it was scheduled at.
 type event struct {
 	at   Cycle
 	seq  uint64
@@ -40,10 +65,8 @@ type event struct {
 }
 
 // before reports whether e fires ahead of o: earlier cycle first, and within
-// a cycle, scheduling order (seq). This is a strict total order — no two
-// events compare equal — so any correct heap pops the queue in exactly one
-// sequence, which is what keeps the specialized heap byte-identical to the
-// container/heap implementation it replaced.
+// a cycle, scheduling order (seq). This is a strict total order, so the
+// overflow heap pops in exactly one sequence.
 func (e *event) before(o *event) bool {
 	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
@@ -51,18 +74,29 @@ func (e *event) before(o *event) bool {
 // Sim is a discrete-event simulator. The zero value is not usable; create
 // one with New.
 //
-// The queue is a hand-specialized 4-ary min-heap over event values with
-// inlined sift-up/sift-down. Relative to container/heap this removes the
-// interface{} boxing of every push/pop (one heap allocation per event) and
-// the Less/Swap indirect calls; 4-ary halves the tree depth, trading a few
-// extra comparisons per level for fewer cache-missing levels on the
-// million-event queues the simulator builds.
+// The queue is a calendar ring of ringSize per-cycle FIFO buckets plus an
+// overflow heap. At any moment the ring holds exactly the queued events due
+// in [now, now+ringSize), so each bucket holds the events of one cycle, and
+// the overflow heap holds the later ones. Bucket b's events are a linked
+// list of slab nodes from head[b] to tail[b]; dispatched nodes go back on a
+// free list, so at steady state scheduling allocates nothing.
 type Sim struct {
 	now     Cycle
-	events  []event
-	seq     uint64
 	nRun    uint64
 	clamped uint64
+
+	slab     []node
+	free     int32 // first node of the free list, 0 when empty
+	inRing   int
+	head     [ringSize]int32
+	tail     [ringSize]int32
+	occupied [ringWords]uint64 // bit b set exactly when bucket b is non-empty
+
+	// overflow is a 4-ary min-heap over (at, seq). Only its entries need
+	// a sequence number: see advance for why buckets keep scheduling order
+	// without one.
+	overflow []event
+	seq      uint64
 
 	// Periodic stop-check state (see SetCheck). check == nil is the common
 	// case and costs one predictable branch per event in Run/RunUntil.
@@ -89,7 +123,7 @@ type Sim struct {
 
 // New returns an empty simulator positioned at cycle 0.
 func New() *Sim {
-	return &Sim{}
+	return &Sim{slab: make([]node, 1, 256)}
 }
 
 // Now returns the current simulated time.
@@ -99,7 +133,7 @@ func (s *Sim) Now() Cycle { return s.now }
 func (s *Sim) Processed() uint64 { return s.nRun }
 
 // Pending returns the number of events waiting in the queue.
-func (s *Sim) Pending() int { return len(s.events) }
+func (s *Sim) Pending() int { return s.inRing + len(s.overflow) }
 
 // Clamped returns the number of events that were scheduled in the past and
 // clamped to the current time. A handful per run is expected floating-point
@@ -120,11 +154,16 @@ func (s *Sim) clamp(t Cycle) Cycle {
 // AtEvent schedules ev.Dispatch(kind) at absolute time t. Scheduling in the
 // past is an error in the caller; the engine clamps it to the current time
 // (counted by Clamped) so the simulation still makes forward progress, which
-// keeps small floating-point slop in callers from wedging a run. The event
-// entry stores the receiver and tag inline, so scheduling allocates nothing.
+// keeps small floating-point slop in callers from wedging a run. The queue
+// stores the receiver and tag inline, so scheduling allocates nothing.
 func (s *Sim) AtEvent(t Cycle, ev Event, kind uint8) {
-	s.seq++
-	s.push(event{at: s.clamp(t), seq: s.seq, ev: ev, kind: kind})
+	t = s.clamp(t)
+	if t-s.now >= ringSize {
+		s.seq++
+		s.pushOverflow(event{at: t, seq: s.seq, ev: ev, kind: kind})
+		return
+	}
+	s.enqueue(t, ev, kind)
 }
 
 // AfterEvent schedules ev.Dispatch(kind) delay cycles from now.
@@ -132,10 +171,81 @@ func (s *Sim) AfterEvent(delay Cycle, ev Event, kind uint8) {
 	s.AtEvent(s.now+delay, ev, kind)
 }
 
-// push inserts e, sifting up with the hole technique: parents shift down
-// into the hole and e is written once at its final slot.
-func (s *Sim) push(e event) {
-	h := append(s.events, e)
+// enqueue appends an event due at t, which must lie in [now, now+ringSize),
+// to the tail of t's bucket.
+func (s *Sim) enqueue(t Cycle, ev Event, kind uint8) {
+	i := s.free
+	if i != 0 {
+		s.free = s.slab[i].next
+		s.slab[i] = node{ev: ev, kind: kind}
+	} else {
+		i = int32(len(s.slab))
+		s.slab = append(s.slab, node{ev: ev, kind: kind})
+	}
+	b := uint(t) & ringMask
+	if s.head[b] == 0 {
+		s.head[b] = i
+		s.occupied[b>>6] |= 1 << (b & 63)
+	} else {
+		s.slab[s.tail[b]].next = i
+	}
+	s.tail[b] = i
+	s.inRing++
+}
+
+// advance moves the clock forward to t, which must not pass any queued
+// event, and then moves every overflow event now due before t+ringSize into
+// its bucket, before anything can be scheduled at t. That keeps each bucket
+// in scheduling order: an overflow event for cycle c was scheduled while
+// now <= c-ringSize, and a ring insert for c happens only once now >
+// c-ringSize, so every overflow insert for c precedes every ring insert for
+// c; the heap hands the overflow events over in (at, seq) order, and the
+// bucket is empty when they arrive.
+func (s *Sim) advance(t Cycle) {
+	s.now = t
+	for len(s.overflow) > 0 && s.overflow[0].at-t < ringSize {
+		e := s.popOverflow()
+		s.enqueue(e.at, e.ev, e.kind)
+	}
+}
+
+// next returns the cycle of the earliest queued event. Ring events are all
+// due before any overflow event, so the ring's first occupied bucket at or
+// after now's, when there is one, is the answer.
+func (s *Sim) next() (Cycle, bool) {
+	if s.inRing > 0 {
+		return s.now + s.ringDelay(), true
+	}
+	if len(s.overflow) > 0 {
+		return s.overflow[0].at, true
+	}
+	return 0, false
+}
+
+// ringDelay returns the distance in cycles from now to the first occupied
+// bucket, scanning the occupancy bitmap cyclically from now's bucket. The
+// ring must not be empty.
+func (s *Sim) ringDelay() Cycle {
+	b := uint(s.now) & ringMask
+	w, off := b>>6, b&63
+	if word := s.occupied[w] >> off; word != 0 {
+		return Cycle(bits.TrailingZeros64(word))
+	}
+	d := 64 - off
+	for k := uint(1); k <= ringWords; k++ {
+		if word := s.occupied[(w+k)%ringWords]; word != 0 {
+			return Cycle(d + uint(bits.TrailingZeros64(word)))
+		}
+		d += 64
+	}
+	panic("engine: ring count and occupancy bitmap disagree")
+}
+
+// pushOverflow inserts e into the overflow heap, sifting up with the hole
+// technique: parents shift down into the hole and e is written once at its
+// final slot.
+func (s *Sim) pushOverflow(e event) {
+	h := append(s.overflow, e)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
@@ -146,19 +256,19 @@ func (s *Sim) push(e event) {
 		i = p
 	}
 	h[i] = e
-	s.events = h
+	s.overflow = h
 }
 
-// pop removes and returns the earliest event, sifting the displaced tail
-// element down from the root.
-func (s *Sim) pop() event {
-	h := s.events
+// popOverflow removes and returns the earliest overflow event, sifting the
+// displaced tail element down from the root.
+func (s *Sim) popOverflow() event {
+	h := s.overflow
 	top := h[0]
 	n := len(h) - 1
 	e := h[n]
 	h[n] = event{} // release the vacated slot's receiver reference
 	h = h[:n]
-	s.events = h
+	s.overflow = h
 	if n > 0 {
 		i := 0
 		for {
@@ -190,13 +300,28 @@ func (s *Sim) pop() event {
 
 // Step executes the earliest pending event and reports whether one existed.
 func (s *Sim) Step() bool {
-	if len(s.events) == 0 {
-		return false
+	b := uint(s.now) & ringMask
+	if s.head[b] == 0 {
+		// Nothing left at the current cycle: move the clock to the next
+		// event's cycle.
+		t, ok := s.next()
+		if !ok {
+			return false
+		}
+		s.advance(t)
+		b = uint(t) & ringMask
 	}
-	e := s.pop()
-	s.now = e.at
+	i := s.head[b]
+	n := &s.slab[i]
+	ev, kind := n.ev, n.kind
+	if s.head[b] = n.next; n.next == 0 {
+		s.occupied[b>>6] &^= 1 << (b & 63)
+	}
+	*n = node{next: s.free} // release the receiver reference
+	s.free = i
+	s.inRing--
 	s.nRun++
-	e.ev.Dispatch(e.kind)
+	ev.Dispatch(kind)
 	return true
 }
 
@@ -313,23 +438,28 @@ func (s *Sim) Run() uint64 {
 	return s.nRun - start
 }
 
-// RunUntil executes events with timestamps <= limit. It returns the number
-// of events processed by this call. Events beyond the limit remain queued.
-// Installed hooks (SetCheck/SetAudit) are honored exactly as in Run.
+// RunUntil executes events with timestamps <= limit and then advances the
+// clock to limit. It returns the number of events processed by this call.
+// Events beyond the limit remain queued, and later scheduling is relative
+// to limit. Installed hooks (SetCheck/SetAudit) are honored exactly as in
+// Run; a hook that stops the loop leaves the clock at the last event.
 func (s *Sim) RunUntil(limit Cycle) uint64 {
 	start := s.nRun
 	hooked := s.hooked()
 	if hooked {
 		s.stopErr = nil
 	}
-	for len(s.events) > 0 && s.events[0].at <= limit {
+	for {
+		if t, ok := s.next(); !ok || t > limit {
+			break
+		}
 		s.Step()
 		if hooked && s.tick() {
 			return s.nRun - start
 		}
 	}
-	if s.now < limit && len(s.events) == 0 {
-		s.now = limit
+	if s.now < limit {
+		s.advance(limit)
 	}
 	return s.nRun - start
 }
@@ -457,11 +587,13 @@ func (r *Resource) BusyCycles() float64 { return r.busy }
 // successive deltas never exceed the elapsed cycles between them and sum to
 // BusyCycles once the resource drains.
 //
-// Queries at or before the current watermark return the settled value
-// unchanged; interval samplers always query with monotone timestamps.
+// Queries before the current watermark return the settled value
+// unchanged; interval samplers always query with monotone timestamps. A
+// query at the watermark still settles a transfer booked there since, if
+// that transfer has ended on the cycle grid.
 func (r *Resource) BusyThrough(now Cycle) float64 {
 	t := float64(now)
-	if t <= r.mark {
+	if t < r.mark {
 		return r.done
 	}
 	if now >= toCycle(r.nextFree) {

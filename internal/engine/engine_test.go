@@ -159,6 +159,9 @@ func TestSimRunUntil(t *testing.T) {
 	if s.Pending() != 2 {
 		t.Fatalf("Pending = %d, want 2", s.Pending())
 	}
+	if s.Now() != 12 {
+		t.Fatalf("Now = %d after RunUntil(12) with later events queued, want 12", s.Now())
+	}
 	s.Run()
 	if count != 4 {
 		t.Fatalf("count after Run = %d, want 4", count)
@@ -377,5 +380,114 @@ func BenchmarkSimScheduleRun(b *testing.B) {
 			schedAt(s, Cycle(j%97), func() {})
 		}
 		s.Run()
+	}
+}
+
+// orderRun drives one generated scenario for TestQueueOrderMatchesSort: it
+// records the due cycle of every scheduled event (after the engine's clamp)
+// and the order the events dispatch in.
+type orderRun struct {
+	s     *Sim
+	rng   *rand.Rand
+	at    []Cycle // due cycle by scheduling index
+	got   []int   // scheduling indices in dispatch order
+	burst Cycle   // the cycle the current round's bursts target
+	left  int     // events still to schedule from inside dispatches
+	late  []int   // events dispatched at a cycle other than their due one
+}
+
+type orderEv struct {
+	r  *orderRun
+	id int
+}
+
+func (e *orderEv) Dispatch(uint8) {
+	r := e.r
+	if r.s.Now() != r.at[e.id] {
+		r.late = append(r.late, e.id)
+	}
+	r.got = append(r.got, e.id)
+	for k := r.rng.Intn(3); k > 0 && r.left > 0; k-- {
+		r.left--
+		r.schedule()
+	}
+}
+
+// schedule adds one event: a random delay from 0 to 4*ringSize (ring and
+// overflow paths), a near-now delay, a past timestamp the engine clamps,
+// or the round's burst cycle, which collects events scheduled both while
+// it lies beyond the ring and once it lies inside it.
+func (r *orderRun) schedule() {
+	now := r.s.Now()
+	var t Cycle
+	switch k := r.rng.Intn(10); {
+	case k < 4:
+		t = now + Cycle(r.rng.Intn(4*ringSize+1))
+	case k < 6:
+		t = now + Cycle(r.rng.Intn(3))
+	case k < 7:
+		t = now - Cycle(r.rng.Intn(int(now)+1))
+	default:
+		t = r.burst
+	}
+	due := t
+	if due < now {
+		due = now
+	}
+	r.at = append(r.at, due)
+	r.s.AtEvent(t, &orderEv{r: r, id: len(r.at) - 1}, 0)
+}
+
+// Property: the engine dispatches every event at its due cycle and in
+// exactly the order a sort by (due cycle, scheduling index) gives, under
+// random delays from 0 to 4*ringSize, same-cycle bursts, clamped past
+// timestamps, events scheduled while the queue drains, partial Step runs,
+// and RunUntil jumps over idle gaps while overflow events are pending.
+func TestQueueOrderMatchesSort(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r := &orderRun{s: New(), rng: rng, left: 3000}
+		s := r.s
+		for round := 0; round < 150; round++ {
+			r.burst = s.Now() + Cycle(rng.Intn(3*ringSize))
+			for k := rng.Intn(25); k > 0; k-- {
+				r.schedule()
+			}
+			switch rng.Intn(3) {
+			case 0:
+				s.RunUntil(s.Now() + Cycle(rng.Intn(3*ringSize)))
+			case 1:
+				for k := rng.Intn(60); k > 0 && s.Step(); k-- {
+				}
+			default:
+				s.RunUntil(s.Now() + Cycle(rng.Intn(8)))
+			}
+		}
+		s.Run()
+		want := make([]int, len(r.at))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(i, j int) bool { return r.at[want[i]] < r.at[want[j]] })
+		if len(r.late) > 0 {
+			t.Logf("seed %d: %d events dispatched off their due cycle, first #%d due %d",
+				seed, len(r.late), r.late[0], r.at[r.late[0]])
+			return false
+		}
+		if len(r.got) != len(want) || s.Pending() != 0 {
+			t.Logf("seed %d: dispatched %d of %d events, %d pending", seed, len(r.got), len(want), s.Pending())
+			return false
+		}
+		for i := range want {
+			if r.got[i] != want[i] {
+				t.Logf("seed %d: dispatch %d is #%d (due %d), want #%d (due %d)",
+					seed, i, r.got[i], r.at[r.got[i]], want[i], r.at[want[i]])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -139,3 +139,18 @@ func TestResetClearsSettlement(t *testing.T) {
 		t.Fatalf("post-Reset BusyThrough = %v, want 0", got)
 	}
 }
+
+// TestBusyThroughSettlesAtWatermark pins the drain settlement of a transfer
+// booked at the watermark cycle: a sub-cycle transfer reserved at the cycle
+// of the last query has ended on the cycle grid, so a second query at that
+// cycle must settle it, not return the stale total. TestBusyThroughProperties
+// hit this on about 1 seed in 7,000.
+func TestBusyThroughSettlesAtWatermark(t *testing.T) {
+	r := NewResource("dram", 768)
+	r.Reserve(0, 768*10)
+	r.BusyThrough(10)  // drained: watermark at cycle 10
+	r.Reserve(10, 120) // 0.156 cycles, published completion cycle 10
+	if got := r.BusyThrough(10); got != r.BusyCycles() {
+		t.Fatalf("BusyThrough at the watermark = %v, want the drained total %v", got, r.BusyCycles())
+	}
+}

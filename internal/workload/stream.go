@@ -4,6 +4,14 @@ package workload
 // operation can touch (a fully diverged warp on 128-byte lines).
 const MaxLinesPerOp = 8
 
+// MaxFootprintLines bounds Spec.FootprintLines (Validate), and with it every
+// line address a Stream produces: Next reduces each coalesced or first-lane
+// address modulo FootprintLines, and a diverged lane's scatter address lies
+// below SharedLines+ScatterLines, which Validate keeps within the footprint.
+// Line addresses therefore fit in 62 bits, the tag width of the caches'
+// packed lines (cache.MaxTag).
+const MaxFootprintLines = 1 << 62
+
 // Op is one warp-level step: Compute instructions followed by a memory
 // operation touching NumLines cache lines.
 type Op struct {

@@ -194,6 +194,12 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("workload %s: KernelIters = %d", s.Name, s.KernelIters)
 	case s.LinesPerOp <= 0 || s.LinesPerOp > MaxLinesPerOp:
 		return fmt.Errorf("workload %s: LinesPerOp = %d (max %d)", s.Name, s.LinesPerOp, MaxLinesPerOp)
+	case s.FootprintLines > MaxFootprintLines:
+		return fmt.Errorf("workload %s: footprint %d lines exceeds the %d-line address space",
+			s.Name, s.FootprintLines, uint64(MaxFootprintLines))
+	case s.SharedLines > s.FootprintLines || s.ScatterLines > s.FootprintLines-s.SharedLines:
+		return fmt.Errorf("workload %s: %d shared + %d scatter lines exceed the %d-line footprint",
+			s.Name, s.SharedLines, s.ScatterLines, s.FootprintLines)
 	case s.FootprintLines < uint64(s.CTAs)+s.SharedLines+s.ScatterLines+s.PanelLines():
 		return fmt.Errorf("workload %s: footprint %d lines too small for %d CTAs + %d shared + %d scatter + %d panel",
 			s.Name, s.FootprintLines, s.CTAs, s.SharedLines, s.ScatterLines, s.PanelLines())

@@ -3,6 +3,8 @@ package workload
 import (
 	"testing"
 	"testing/quick"
+
+	"mcmgpu/internal/cache"
 )
 
 func TestSuiteComposition(t *testing.T) {
@@ -361,5 +363,57 @@ func TestSelect(t *testing.T) {
 	}
 	if _, err := Select("nope"); err == nil {
 		t.Errorf("Select(nope) succeeded")
+	}
+}
+
+// TestFootprintBoundsLineAddresses pins the address bound the caches' packed
+// lines rely on (cache.MaxTag): Validate rejects a footprint beyond
+// MaxFootprintLines and a shared+scatter prefix that only fits by wrapping,
+// and a spec at the limit, mixing every address source (shared, halo,
+// panels, scatter, reuse, diverged lanes), produces no line address at or
+// above MaxFootprintLines.
+func TestFootprintBoundsLineAddresses(t *testing.T) {
+	if MaxFootprintLines-1 != cache.MaxTag {
+		t.Fatalf("largest line address %#x is not cache.MaxTag %#x", uint64(MaxFootprintLines-1), uint64(cache.MaxTag))
+	}
+	spec := &Spec{
+		Name: "edge", Category: MemoryIntensive, Pattern: PatIrregular,
+		CTAs: 4, WarpsPerCTA: 2, MemOpsPerWarp: 400, KernelIters: 1,
+		FootprintLines: MaxFootprintLines, WriteFraction: 0.3, LinesPerOp: MaxLinesPerOp,
+		SharedLines: 1 << 61, ScatterLines: 1<<62 - 1<<61 - 1<<40,
+		SharedFraction: 0.15, NeighborFraction: 0.15, RandomFraction: 0.15,
+		RowPanelFraction: 0.15, ColPanelFraction: 0.15, ReuseProb: 0.3,
+		GridW: 2, GridH: 2, RowPanelLines: 1 << 36, ColPanelLines: 1 << 36, Seed: 5,
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("spec at the footprint limit rejected: %v", err)
+	}
+	var op Op
+	for c := 0; c < spec.CTAs; c++ {
+		for w := 0; w < spec.WarpsPerCTA; w++ {
+			st := NewStream(spec, c, w)
+			for st.Next(&op) {
+				for _, l := range op.Lines[:op.NumLines] {
+					if l >= MaxFootprintLines {
+						t.Fatalf("cta %d warp %d: line address %#x at or above MaxFootprintLines", c, w, l)
+					}
+				}
+			}
+		}
+	}
+
+	over := *spec
+	over.FootprintLines = MaxFootprintLines + 1
+	if over.Validate() == nil {
+		t.Fatal("footprint beyond MaxFootprintLines accepted")
+	}
+	// Shared and scatter lines that sum past 2^64 wrap the footprint check's
+	// sum to a small number; the prefix check must still reject them.
+	wrap := *spec
+	wrap.FootprintLines = 1 << 20
+	wrap.SharedLines, wrap.ScatterLines = 1<<63, 1<<63
+	wrap.RowPanelLines, wrap.ColPanelLines = 1, 1
+	if wrap.Validate() == nil {
+		t.Fatal("shared+scatter lines beyond the footprint accepted")
 	}
 }
